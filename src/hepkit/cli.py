@@ -200,7 +200,7 @@ def cmd_phsp(args) -> int:
         w_max = phsp_max_weight(spec)
         block = phsp_unweight(block, w_max, RngKey(args.seed, stream=STREAM_UNWEIGHT),
                               workers=args.workers)
-    _write_output(block.to_csv(), args.output)
+    block.write_csv(args.output or sys.stdout)
     return 0
 
 
@@ -304,7 +304,7 @@ def cmd_splot(args) -> int:
     model = build_model(args.model, bounds, fitted, set())
     V = splot_matrix(model, store, [args.column], workers=args.workers)
     table = splot_weights(model, store, [args.column], V, workers=args.workers)
-    _write_output(table.to_csv(), args.output)
+    table.write_csv(args.output or sys.stdout)
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functors import EvaluationError, FunctorExpr
-from .parallel import CHUNK, EVAL_BATCH, chunk_bounds, run_batches
+from .parallel import chunk_bounds, run_batches
 from .rng import BoundedRegion, RngKey, uniform_array
 
 

@@ -23,7 +23,6 @@ Stream ids used by the command-line tools:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np

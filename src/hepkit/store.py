@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -18,6 +19,20 @@ _KIND_DTYPES = {
     "integer64": np.int64,
     "boolean": np.bool_,
 }
+
+# Rows per block of the CSV reader and writer.
+CSV_BLOCK = 8192
+
+_FORMATS = {"real64": "%.17g", "integer64": "%d", "boolean": "%s"}
+_BOOLEAN_TEXT = np.array(["false", "true"], dtype=object)
+_BOOLEAN_TOKENS = {"true": True, "false": False}
+_EXPECTED = {
+    "real64": "a finite real",
+    "integer64": "a 64-bit integer",
+    "boolean": "a boolean (true/false)",
+}
+# What a token parser raises on a token its kind does not accept.
+_REJECTED = (ValueError, KeyError, OverflowError)
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -177,23 +192,27 @@ class ColumnStore:
     # -- CSV interchange ---------------------------------------------------
     # header = column names; real64 with 17 significant digits so values
     # round-trip exactly; no quoting (names are [A-Za-z0-9_] by schema).
+    # Both directions work a block of CSV_BLOCK (8192) rows at a time, a
+    # column at a time; the reader never holds more than one block of lines.
+    # Tokens read: real64 takes what python's float() takes if the value is
+    # finite, integer64 what int() takes within 64 bits, boolean true/false
+    # in any case.  Whitespace around a line or a token is ignored and blank
+    # lines are skipped.  A rejected line or token raises a one-line
+    # ValueError naming the line and the column.
 
     def write_csv(self, path_or_file) -> None:
         own = isinstance(path_or_file, (str, bytes))
         fh = open(path_or_file, "w") if own else path_or_file
         try:
             fh.write(",".join(self.schema.names) + "\n")
-            for i in range(self._len):
-                parts = []
-                for (name, kind) in self.schema.columns:
-                    v = self._data[name][i]
-                    if kind == "real64":
-                        parts.append(f"{v:.17g}")
-                    elif kind == "integer64":
-                        parts.append(str(int(v)))
-                    else:
-                        parts.append("true" if v else "false")
-                fh.write(",".join(parts) + "\n")
+            row = ",".join(_FORMATS[kind] for kind in self.schema.kinds) + "\n"
+            for start in range(0, self._len, CSV_BLOCK):
+                stop = min(start + CSV_BLOCK, self._len)
+                values = [
+                    _python_values(self._data[name][start:stop], kind)
+                    for name, kind in self.schema.columns
+                ]
+                fh.write((row * (stop - start)) % tuple(chain.from_iterable(zip(*values))))
         finally:
             if own:
                 fh.close()
@@ -202,6 +221,46 @@ class ColumnStore:
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
+
+
+def _python_values(col: np.ndarray, kind: str) -> list:
+    """Python scalars that the kind's entry of _FORMATS renders."""
+    if kind == "boolean":
+        return _BOOLEAN_TEXT[col.view(np.uint8)].tolist()
+    return col.tolist()
+
+
+def _parse_column(toks: Sequence[str], kind: str) -> np.ndarray:
+    """One column's tokens as an array of the kind's dtype; raises one of
+    _REJECTED on a token the kind does not accept."""
+    if kind == "boolean":
+        values = map(_BOOLEAN_TOKENS.__getitem__, map(str.lower, map(str.strip, toks)))
+    else:
+        values = map(float if kind == "real64" else int, toks)
+    out = np.fromiter(values, _KIND_DTYPES[kind], count=len(toks))
+    if kind == "real64" and not np.isfinite(out).all():
+        raise ValueError("non-finite real")
+    return out
+
+
+def _first_error(lines: list[str], first: int, schema: ColumnSchema) -> ValueError:
+    """Diagnostic for the first line of a rejected block that is rejected
+    on its own.  ``lines`` are the block's raw lines, the first of them
+    numbered ``first``.  Only the error path calls this."""
+    width = len(schema)
+    for ln, line in enumerate(map(str.strip, lines), start=first):
+        if not line:
+            continue
+        toks = line.split(",")
+        if len(toks) != width:
+            return ValueError(f"line {ln}: expected {width} fields, got {len(toks)}")
+        for tok, (name, kind) in zip(toks, schema.columns):
+            try:
+                _parse_column([tok], kind)
+            except _REJECTED:
+                return ValueError(f"line {ln}, column {name!r}: expected "
+                                  f"{_EXPECTED[kind]}, got {tok!r}")
+    raise AssertionError("the block was rejected but none of its lines is")
 
 
 def read_csv(path_or_file, schema: ColumnSchema | None = None) -> ColumnStore:
@@ -218,25 +277,26 @@ def read_csv(path_or_file, schema: ColumnSchema | None = None) -> ColumnStore:
             schema = ColumnSchema.real64(*names)
         elif tuple(names) != schema.names:
             raise ValueError(f"CSV header {names} does not match schema {schema.names}")
-        store = ColumnStore(schema, capacity_hint=1024)
-        kinds = schema.kinds
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split(",")
-            if len(toks) != len(names):
-                raise ValueError(f"line {ln}: expected {len(names)} fields, got {len(toks)}")
-            row = []
-            for tok, kind in zip(toks, kinds):
-                if kind == "real64":
-                    row.append(float(tok))
-                elif kind == "integer64":
-                    row.append(int(tok))
-                else:
-                    row.append(tok.lower() == "true")
-            store.push(tuple(row))
-        return store
+        width = len(schema)
+        blocks: list[list[np.ndarray]] = [[] for _ in range(width)]
+        first = 2    # line number of the block's first line
+        while lines := list(islice(fh, CSV_BLOCK)):
+            rows = [line for line in map(str.strip, lines) if line]
+            toks = ",".join(rows).split(",")
+            try:
+                if set(map(str.count, rows, repeat(","))) - {width - 1}:
+                    raise ValueError("a line with the wrong number of fields")
+                parsed = [_parse_column(toks[j::width], kind)
+                          for j, kind in enumerate(schema.kinds)]
+            except _REJECTED:
+                raise _first_error(lines, first, schema) from None
+            for parts, column in zip(blocks, parsed):
+                parts.append(column)
+            first += len(lines)
+        return ColumnStore.from_columns(schema, [
+            np.concatenate(parts) if parts else np.empty(0, _KIND_DTYPES[kind])
+            for parts, kind in zip(blocks, schema.kinds)
+        ])
     finally:
         if own:
             fh.close()

@@ -6,7 +6,7 @@ import pytest
 
 import hepkit as hk
 from hepkit.cli import main
-from hepkit.store import read_csv
+from hepkit.store import CSV_BLOCK, read_csv
 
 
 def run_cli(*argv):
@@ -258,3 +258,66 @@ class TestWorkerByteIdentity:
         assert run_cli(*args, "--workers", "1", "--output", str(base)) == 0
         assert run_cli(*args, "--workers", workers, "--output", str(other)) == 0
         assert base.read_bytes() == other.read_bytes()
+
+
+class TestStreamedTables:
+    """phsp and splot write their tables block by block straight to the
+    destination; a file and stdout get the same bytes, which are those of
+    ``ColumnStore.to_csv``."""
+
+    def _file_and_stdout(self, tmp_path, capsys, *args):
+        out = tmp_path / "out.csv"
+        assert run_cli(*args, "--output", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli(*args) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert out.read_bytes() == stdout
+        return stdout
+
+    def test_phsp(self, tmp_path, capsys):
+        from hepkit.cli import STREAM_PHASESPACE
+
+        args = ("phsp", "--mother-mass", "1.0", "--masses", "0.1,0.2,0.3",
+                "--events", "20000", "--seed", "13")
+        written = self._file_and_stdout(tmp_path, capsys, *args)
+        table = hk.phsp_generate(hk.DecaySpec(1.0, (0.1, 0.2, 0.3)),
+                                 hk.FourVector.at_rest(1.0), 20000,
+                                 hk.RngKey(13, stream=STREAM_PHASESPACE))
+        assert written == table.to_csv().encode()
+
+    def test_splot(self, tmp_path, capsys):
+        from hepkit.cli import build_model
+
+        data_csv = tmp_path / "data.csv"
+        fit_csv = tmp_path / "fit.csv"
+        n = _write_toy_sample(data_csv, seed=92, scale=0.4)
+        assert n > 2 * CSV_BLOCK
+        assert run_cli("fit", "--input", str(data_csv), "--model", "gauss+exp",
+                       "--range", "0,10", "--init", "mean=4.9,sigma=0.55,tau=2.9",
+                       "--seed", "1", "--output", str(fit_csv)) == 0
+        written = self._file_and_stdout(
+            tmp_path, capsys, "splot", "--input", str(data_csv), "--model",
+            "gauss+exp", "--range", "0,10", "--fit-result", str(fit_csv), "--seed", "1")
+        fitted = {line.split(",")[0]: float(line.split(",")[1])
+                  for line in fit_csv.read_text().splitlines()[1:-1]}
+        model = build_model("gauss+exp", (0.0, 10.0), fitted, set())
+        store = read_csv(str(data_csv))
+        V = hk.splot_matrix(model, store, ["x0"])
+        assert written == hk.splot_weights(model, store, ["x0"], V).to_csv().encode()
+
+
+def test_fit_names_the_bad_line_and_column(tmp_path, capsys):
+    x = np.linspace(0.5, 9.5, CSV_BLOCK + 200)
+    lines = ["x0"] + [f"{v:.17g}" for v in x]
+    lines[CSV_BLOCK + 100] = "abc"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code = run_cli("fit", "--input", str(bad), "--model", "gauss+exp",
+                   "--range", "0,10", "--seed", "1")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [l for l in captured.err.splitlines() if not l.startswith("# ")]
+    assert errors == [
+        f"error: line {CSV_BLOCK + 101}, column 'x0': expected a finite real, got 'abc'"
+    ]

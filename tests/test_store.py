@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hepkit as hk
-from hepkit.store import read_csv
+from hepkit.store import CSV_BLOCK, read_csv
 
 
 def test_create_empty():
@@ -167,3 +167,166 @@ class TestCsv:
         s.push((-2.5, -3, False))
         back = read_csv(io.StringIO(s.to_csv()), schema=schema)
         assert list(back.rows()) == list(s.rows())
+
+
+# -- block-wise CSV reader and writer ----------------------------------------
+
+B = CSV_BLOCK
+MIXED = hk.ColumnSchema((("x", "real64"), ("n", "integer64"), ("f", "boolean")))
+
+
+def _mixed_store(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    return hk.ColumnStore.from_columns(MIXED, [
+        rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows),
+        rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=rows,
+                     endpoint=True),
+        rng.random(rows) < 0.5,
+    ])
+
+
+def _per_row_csv(store):
+    """The row-at-a-time writer this package had before the block writer:
+    the oracle for the block writer's bytes."""
+    lines = [",".join(store.schema.names)]
+    for row in store.rows():
+        parts = []
+        for v, kind in zip(row, store.schema.kinds):
+            if kind == "real64":
+                parts.append(f"{v:.17g}")
+            elif kind == "integer64":
+                parts.append(str(int(v)))
+            else:
+                parts.append("true" if v else "false")
+        lines.append(",".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same(a, b):
+    assert a.schema == b.schema
+    assert len(a) == len(b)
+    for name in a.schema.names:
+        ca, cb = a.column(name), b.column(name)
+        assert ca.dtype == cb.dtype
+        # bitwise, so -0.0 and every last digit count
+        assert ca.tobytes() == cb.tobytes()
+
+
+def _with_blank_lines_and_crlf(text):
+    """Blank lines (empty, spaces, CR only) every 997 lines and CRLF endings
+    on every third line, so both fall inside blocks and across block ends."""
+    out = []
+    for i, line in enumerate(text.split("\n")[:-1]):
+        out.append(line + ("\r\n" if i % 3 == 1 else "\n"))
+        if i % 997 == 5:
+            out.append(["\n", "   \n", "\r\n"][i % 3])
+    return "".join(out)
+
+
+class TestCsvBlocks:
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_roundtrip_across_block_ends(self, rows):
+        s = _mixed_store(rows, seed=rows)
+        text = s.to_csv()
+        _assert_same(read_csv(io.StringIO(text), schema=MIXED), s)
+        messy = _with_blank_lines_and_crlf(text)
+        assert messy.count("\n") > text.count("\n") or rows < 6
+        _assert_same(read_csv(io.StringIO(messy), schema=MIXED), s)
+
+    def test_crlf_file_read_by_path(self, tmp_path):
+        s = _mixed_store(B + 3, seed=4)
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(_with_blank_lines_and_crlf(s.to_csv()).encode())
+        _assert_same(read_csv(str(path), schema=MIXED), s)
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_writer_bytes_equal_per_row_writer(self, rows):
+        s = _mixed_store(rows, seed=rows + 1)
+        assert s.to_csv() == _per_row_csv(s)
+
+    def test_writer_bytes_on_edge_values(self):
+        info = np.finfo(np.float64)
+        reals = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                 info.smallest_normal, 1e308, -1e308, info.max, -info.max,
+                 np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, 1e16, 123456789012345680.0]
+        bits = np.random.default_rng(8).integers(0, 2**63, size=5000, dtype=np.uint64)
+        reals = np.concatenate([reals, bits.view(np.float64), -bits.view(np.float64)])
+        i64 = np.iinfo(np.int64)
+        ints = np.resize(np.array([i64.min, i64.max, 0, -1, 1], dtype=np.int64), len(reals))
+        flags = np.resize(np.array([True, False, False]), len(reals))
+        s = hk.ColumnStore.from_columns(MIXED, [reals, ints, flags])
+        assert s.to_csv() == _per_row_csv(s)
+
+    def test_write_to_path_and_stream_agree(self, tmp_path):
+        s = _mixed_store(B + 2, seed=9)
+        path = tmp_path / "s.csv"
+        s.write_csv(str(path))
+        assert path.read_text() == s.to_csv()
+
+    def test_written_after_push(self):
+        # capacity beyond the length must not leak into the output
+        s = hk.ColumnStore(MIXED)
+        for k in range(5):
+            s.push((k / 7.0, k, k % 2 == 0))
+        assert s.to_csv() == _per_row_csv(s)
+
+
+class TestCsvDiagnostics:
+    def _text(self, rows=3 * B, blanks=5):
+        text = _mixed_store(rows, seed=2).to_csv()
+        # blank lines ahead of the bad line shift its number
+        return text.replace("\n", "\n\n", blanks)
+
+    def _replace_line(self, text, line_number, new):
+        lines = text.split("\n")
+        lines[line_number - 1] = new
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("line", [7, B + 40, 2 * B + 11])
+    def test_arity_names_the_line(self, line):
+        text = self._replace_line(self._text(), line, "1.0,2")
+        with pytest.raises(ValueError, match=rf"^line {line}: expected 3 fields, got 2$"):
+            read_csv(io.StringIO(text), schema=MIXED)
+
+    @pytest.mark.parametrize("line", [7, B + 40, 2 * B + 11])
+    @pytest.mark.parametrize("row, column, expected, token", [
+        ("1.5,2,yes", "f", "a boolean (true/false)", "yes"),
+        ("1.5,2,1", "f", "a boolean (true/false)", "1"),
+        ("abc,2,true", "x", "a finite real", "abc"),
+        ("nan,2,true", "x", "a finite real", "nan"),
+        ("-inf,2,true", "x", "a finite real", "-inf"),
+        ("1e999,2,true", "x", "a finite real", "1e999"),
+        ("1.5,2.5,true", "n", "a 64-bit integer", "2.5"),
+        ("1.5,9223372036854775808,true", "n", "a 64-bit integer", "9223372036854775808"),
+    ])
+    def test_bad_token_names_line_and_column(self, line, row, column, expected, token):
+        text = self._replace_line(self._text(), line, row)
+        with pytest.raises(ValueError) as err:
+            read_csv(io.StringIO(text), schema=MIXED)
+        assert str(err.value) == (
+            f"line {line}, column '{column}': expected {expected}, got '{token}'"
+        )
+
+    def test_default_schema_rejects_a_non_finite_real(self):
+        with pytest.raises(ValueError, match=r"^line 3, column 'b': expected a finite real, got 'inf'$"):
+            read_csv(io.StringIO("a,b\n1,2\n3,inf\n"))
+
+    def test_boolean_tokens_in_any_case(self):
+        text = "f\ntrue\nFALSE\nTrue\n fAlSe \n"
+        back = read_csv(io.StringIO(text), schema=hk.ColumnSchema((("f", "boolean"),)))
+        assert list(back.column("f")) == [True, False, True, False]
+
+    def test_integer64_extremes_read_back(self):
+        text = "n\n-9223372036854775808\n9223372036854775807\n"
+        back = read_csv(io.StringIO(text), schema=hk.ColumnSchema((("n", "integer64"),)))
+        assert back.row(0) == (-2**63,) and back.row(1) == (2**63 - 1,)
+
+    def test_first_bad_line_of_a_block_is_named(self):
+        # a bad token ahead of an arity error in the same block, and a bad
+        # token in a later column ahead of one in an earlier column
+        text = self._text()
+        text = self._replace_line(text, B + 30, "1.0,2")
+        text = self._replace_line(text, B + 20, "1.0,2,maybe")
+        text = self._replace_line(text, B + 25, "oops,2,true")
+        with pytest.raises(ValueError, match=rf"^line {B + 20}, column 'f':"):
+            read_csv(io.StringIO(text), schema=MIXED)
