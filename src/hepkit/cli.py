@@ -284,15 +284,33 @@ def cmd_toys(args) -> int:
 
 
 def _read_fit_result(path: str) -> dict[str, float]:
+    """Parameter values of a ``hepkit fit`` result CSV, by name.
+
+    Blank lines and lines with an empty name are skipped; a line without a
+    value field, or with a value that is not a float, is rejected naming
+    the line and the column.
+    """
     values: dict[str, float] = {}
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["name", "value"]:
             raise ValueError(f"{path} is not a fit-result CSV (header {header})")
-        for line in fh:
+        for ln, line in enumerate(fh, start=2):
             toks = line.strip().split(",")
-            if len(toks) >= 2 and toks[0]:
+            if toks == [""]:
+                continue
+            if len(toks) < 2:
+                raise ValueError(
+                    f"{path}: line {ln}, column 'value': missing (1 field, expected at least 2)"
+                )
+            if not toks[0]:
+                continue
+            try:
                 values[toks[0]] = float(toks[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {ln}, column 'value': expected a float, got {toks[1]!r}"
+                ) from None
     return values
 
 

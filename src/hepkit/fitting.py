@@ -7,12 +7,23 @@ normalized p.d.f.s; its objective is the extended negative log-likelihood
 
     nll = sum_k N_k - sum_e ln( sum_k N_k pdf_k(x_e) )
 
-with additive constants dropped.  The event loop is data-parallel with a
-fixed-order chunk reduction, so the objective value is bitwise identical
-for any worker count.  Minimization is a Nelder-Mead simplex over
-transformed coordinates (bounded parameters ride a smooth sine transform)
-with 1-sigma uncertainties from the inverse of a central-difference
-numeric Hessian, following the delta-NLL = 0.5 convention.
+with additive constants dropped.  Every likelihood pass of a fit is one
+data-parallel event loop with a fixed-order chunk reduction, so its values
+are bitwise identical for any worker count.  The same pass can also return
+the yield moments sum_e r and r^T r, r_k = pdf_k / density: they give the
+Newton step that polishes the yields and, since
+
+    dnll/dN_k = 1 - sum_e r_k,    d2nll/dN_k dN_j = sum_e r_k r_j,
+
+the exact yield gradient and yield-yield Hessian block.  Minimization is a
+Nelder-Mead simplex over transformed coordinates (bounded parameters ride
+a smooth sine transform).  1-sigma uncertainties, following the
+delta-NLL = 0.5 convention, come from the inverse Hessian: the yield block
+exact, each yield-shape entry the central difference of the exact yield
+gradient over a shape step, the shape diagonal a central second
+difference, and each shape pair the second difference along the diagonal
+step (+h_i, +h_j) and its mirror, which reuses the diagonal passes (see
+``numeric_errors``).
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import numpy as np
 from .functors import FunctorExpr, ParamSet
 from .integrate import gk_adaptive, plain_mc
 from .kinematics import Parameter
-from .parallel import chunk_bounds, ordered_total, run_batches
+from .parallel import CHUNK, ordered_total, run_batches
 from .rng import BoundedRegion, RngKey, raw64, sample_pdf
 from .store import ColumnStore
 
@@ -172,6 +183,73 @@ def add_pdfs(yields: Sequence[Parameter], pdfs: Sequence[Pdf]) -> ExtendedModel:
     return ExtendedModel(list(zip(yields, pdfs)))
 
 
+def _likelihood_pass(
+    model: ExtendedModel,
+    store: ColumnStore,
+    observable_columns: Sequence[str],
+    workers: int | None,
+    moments: bool = False,
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """One data-parallel pass over the store: the extended NLL and, when
+    ``moments`` is set, sum_e r and r^T r with r_k = pdf_k / density.
+
+    Each component's pdf is evaluated once per batch and the density is the
+    same left fold of N_k pdf_k as ``ExtendedModel.density``, so the NLL is
+    bitwise that of a density-then-log pass.  A non-positive or non-finite
+    density makes a chunk's log sum non-finite; only then is the first bad
+    event of the batch located and named.
+    """
+    n = len(store)
+    if n == 0:
+        raise ValueError("cannot fit an empty store")
+    if len(observable_columns) != model.arity:
+        raise ValueError(
+            f"model consumes {model.arity} observables, got {len(observable_columns)}"
+        )
+    cols = store.columns(observable_columns)
+    yields = [y.value for y, _ in model.components]
+    for _, pdf in model.components:
+        pdf.norm()    # fill caches serially before the parallel section
+
+    def batch(a: int, b: int):
+        args = tuple(c[a:b] for c in cols)
+        pdfs = [pdf.value(args) for _, pdf in model.components]
+        dens = None
+        for y, p in zip(yields, pdfs):
+            term = y * p
+            dens = term if dens is None else dens + term
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(dens)
+        full = (b - a) // CHUNK * CHUNK
+        sums = logs[:full].reshape(-1, CHUNK).sum(axis=1).tolist()
+        if full < b - a:
+            sums.append(float(np.sum(logs[full:])))
+        if not math.isfinite(sum(sums)):
+            bad = ~(dens > 0) | ~np.isfinite(dens)
+            j = int(np.argmax(bad))
+            raise ValueError(
+                f"model density {dens[j]!r} is not positive at event {a + j}"
+            )
+        if not moments:
+            return sums, ()
+        r = np.empty((len(pdfs), b - a))
+        for row, p in zip(r, pdfs):
+            np.divide(p, dens, out=row)
+        chunks = [r[:, s : s + CHUNK] for s in range(0, b - a, CHUNK)]
+        return sums, [(rc.sum(axis=1), rc @ rc.T) for rc in chunks]
+
+    parts = run_batches(batch, n, workers)
+    value = model.expected_total() - ordered_total([s for sums, _ in parts for s in sums])
+    if not moments:
+        return value, None, None
+    chunk_moments = [m for _, ms in parts for m in ms]
+    return (
+        value,
+        ordered_total([s for s, _ in chunk_moments]),
+        ordered_total([rtr for _, rtr in chunk_moments]),
+    )
+
+
 def nll(
     model: ExtendedModel,
     store: ColumnStore,
@@ -183,31 +261,7 @@ def nll(
     Raises if the model density is not positive at some event, naming the
     event index.  Parameters are frozen for the duration of the call.
     """
-    n = len(store)
-    if n == 0:
-        raise ValueError("cannot fit an empty store")
-    if len(observable_columns) != model.arity:
-        raise ValueError(
-            f"model consumes {model.arity} observables, got {len(observable_columns)}"
-        )
-    cols = store.columns(observable_columns)
-    for _, pdf in model.components:
-        pdf.norm()    # fill caches serially before the parallel section
-
-    def batch(a: int, b: int) -> list[float]:
-        args = tuple(c[a:b] for c in cols)
-        dens = model.density(args)
-        bad = ~(dens > 0) | ~np.isfinite(dens)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise ValueError(
-                f"model density {dens[j]!r} is not positive at event {a + j}"
-            )
-        logs = np.log(dens)
-        return [float(np.sum(logs[ca - a : cb - a])) for ca, cb in chunk_bounds(a, b)]
-
-    partials = [p for chunk_list in run_batches(batch, n, workers) for p in chunk_list]
-    return model.expected_total() - ordered_total(partials)
+    return _likelihood_pass(model, store, observable_columns, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +397,29 @@ def minimize(
 def numeric_errors(
     objective: Callable[[ParamSet], float],
     params: ParamSet,
+    yield_derivatives: Callable[[ParamSet], tuple[float, dict[str, float], np.ndarray]]
+    | None = None,
 ) -> dict[str, float] | None:
-    """1-sigma uncertainties from the inverse central-difference Hessian of
-    an NLL-type objective at the current parameter values.  Returns None
-    when the Hessian is not positive definite."""
+    """1-sigma uncertainties from the inverse Hessian of an NLL-type
+    objective at the current parameter values.  Each free parameter steps
+    by h = max(1e-4 |value|, 1e-6), at most half its distance to a bound.
+    Returns None when a parameter sits on a bound (h = 0) or the Hessian is
+    not positive definite.
+
+    ``yield_derivatives(params)``, when given, returns the objective, its
+    gradient with respect to some free parameters (a dict by name; call
+    them yields) and the Hessian block of those parameters, ordered as the
+    dict.  That block is then exact, and each yield-shape entry is the
+    central difference of the yield gradient over a shape step, taken from
+    the two passes that give the shape's diagonal.  Every other parameter
+    (a shape) has the central-difference diagonal
+    [f(+i) - 2 f0 + f(-i)] / h_i^2, and each shape pair reuses it:
+
+        H_ij = [f(+i+j) - f(+i) - f(+j) + 2 f0 - f(-i) - f(-j) + f(-i-j)]
+               / (2 h_i h_j)
+
+    so s shapes and any number of yields take 1 + 2s + s(s-1) passes.
+    """
     free = params.free()
     if not free:
         return {}
@@ -362,28 +435,47 @@ def numeric_errors(
             return None
         steps.append(h)
 
-    def at(offsets: dict[int, float]) -> float:
+    def at(offsets: dict[int, float], derivatives: bool = False):
         for i, p in enumerate(free):
             p.set(center[i] + offsets.get(i, 0.0))
-        value = float(objective(params))
+        if derivatives and yield_derivatives is not None:
+            f, grad, block = yield_derivatives(params)
+        else:
+            f, grad, block = objective(params), {}, None
         for i, p in enumerate(free):
             p.set(center[i])
-        return value
+        return float(f), grad, block
 
     n = len(free)
     hess = np.empty((n, n))
-    f0 = at({})
-    for i in range(n):
+    f0, grad0, block = at({}, derivatives=True)
+    yields = [i for i, p in enumerate(free) if p.name in grad0]
+    shapes = [i for i in range(n) if i not in yields]
+    if yields:
+        rows = [list(grad0).index(free[i].name) for i in yields]
+        hess[np.ix_(yields, yields)] = np.asarray(block)[np.ix_(rows, rows)]
+    plus, minus = {}, {}
+    for i in shapes:
         hi = steps[i]
-        hess[i, i] = (at({i: hi}) - 2.0 * f0 + at({i: -hi})) / (hi * hi)
-        for j in range(i + 1, n):
+        plus[i], g_up, _ = at({i: hi}, derivatives=True)
+        minus[i], g_down, _ = at({i: -hi}, derivatives=True)
+        hess[i, i] = (plus[i] - 2.0 * f0 + minus[i]) / (hi * hi)
+        for j in yields:
+            name = free[j].name
+            hess[i, j] = hess[j, i] = (g_up[name] - g_down[name]) / (2.0 * hi)
+    for a, i in enumerate(shapes):
+        hi = steps[i]
+        for j in shapes[a + 1 :]:
             hj = steps[j]
             hess[i, j] = hess[j, i] = (
-                at({i: hi, j: hj})
-                - at({i: hi, j: -hj})
-                - at({i: -hi, j: hj})
-                + at({i: -hi, j: -hj})
-            ) / (4.0 * hi * hj)
+                at({i: hi, j: hj})[0]
+                - plus[i]
+                - plus[j]
+                + 2.0 * f0
+                - minus[i]
+                - minus[j]
+                + at({i: -hi, j: -hj})[0]
+            ) / (2.0 * hi * hj)
     try:
         np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
@@ -406,32 +498,8 @@ def _yield_stationarity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals g_k = sum_e pdf_k/density - 1 and the matrix
     A_kj = sum_e pdf_k pdf_j / density^2 at the current parameters."""
-    cols = store.columns(observable_columns)
-    k = len(model.components)
-    for _, pdf in model.components:
-        pdf.norm()
-
-    def batch(a: int, b: int):
-        args = tuple(c[a:b] for c in cols)
-        p = np.stack([pdf.value(args) for _, pdf in model.components], axis=1)
-        dens = p @ np.array([y.value for y, _ in model.components])
-        if np.any(~(dens > 0)):
-            j = int(np.argmax(~(dens > 0)))
-            raise ValueError(f"model density is not positive at event {a + j}")
-        ratios = p / dens[:, None]
-        out = []
-        for ca, cb in chunk_bounds(a, b):
-            r = ratios[ca - a : cb - a]
-            out.append((r.sum(axis=0), r.T @ r))
-        return out
-
-    partials = [p for chunk_list in run_batches(batch, len(store), workers) for p in chunk_list]
-    g = np.zeros(k)
-    amat = np.zeros((k, k))
-    for gs, am in partials:
-        g = g + gs
-        amat = amat + am
-    return g - np.ones(k), amat
+    _, sum_r, rtr = _likelihood_pass(model, store, observable_columns, workers, moments=True)
+    return sum_r - 1.0, rtr
 
 
 def _polish_yields(
@@ -487,7 +555,8 @@ def fit(
 
     After the simplex converges the free yields are Newton-polished onto
     their exact stationary point, then uncertainties are computed at the
-    final parameters.
+    final parameters, with the yield Hessian block taken exactly from the
+    likelihood pass.
     """
     params = model.param_set()
 
@@ -504,10 +573,26 @@ def fit(
         _polish_yields(model, store, observable_columns, workers)
     nll_min = nll(model, store, observable_columns, workers=workers)
 
+    # yields entering the density once and no shape have an exact Hessian
+    # block; any other free parameter is differenced
+    shape_ids = {id(p) for _, pdf in model.components for p in pdf.shape.leaf_params()}
+    uses = [id(y) for y in model.yields()]
+    exact = [
+        k for k, y in enumerate(model.yields())
+        if not y.fixed and id(y) not in shape_ids and uses.count(id(y)) == 1
+    ]
+
+    def yield_derivatives(ps: ParamSet) -> tuple[float, dict[str, float], np.ndarray]:
+        f, sum_r, rtr = _likelihood_pass(
+            model, store, observable_columns, workers, moments=True
+        )
+        grad = {model.components[k][0].name: 1.0 - float(sum_r[k]) for k in exact}
+        return f, grad, rtr[np.ix_(exact, exact)]
+
     errors: dict[str, float] | None = None
     status = result.status
     if status is FitStatus.CONVERGED:
-        errors = numeric_errors(objective, params)
+        errors = numeric_errors(objective, params, yield_derivatives if exact else None)
         if errors is None:
             status = FitStatus.HESSIAN_NOT_POS_DEF
     return FitResult(params, errors, nll_min, status, result.n_calls)

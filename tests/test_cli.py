@@ -321,3 +321,44 @@ def test_fit_names_the_bad_line_and_column(tmp_path, capsys):
     assert errors == [
         f"error: line {CSV_BLOCK + 101}, column 'x0': expected a finite real, got 'abc'"
     ]
+
+
+class TestFitResultReader:
+    HEADER = "name,value,error,status\n"
+
+    def _splot(self, tmp_path, capsys, fit_text):
+        data_csv = tmp_path / "data.csv"
+        _write_toy_sample(data_csv, seed=93, scale=0.02)
+        fit_csv = tmp_path / "fit.csv"
+        fit_csv.write_text(fit_text)
+        code = run_cli("splot", "--input", str(data_csv), "--model", "gauss+exp",
+                       "--range", "0,10", "--fit-result", str(fit_csv), "--seed", "1")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if not l.startswith("# ")]
+        return code, errors, fit_csv
+
+    def test_valid_file_values(self, tmp_path):
+        from hepkit.cli import _read_fit_result
+
+        path = tmp_path / "fit.csv"
+        path.write_text(self.HEADER + "mean,5.25,0.01,Converged\n\n"
+                        "n_gauss, 1e3 ,,Converged\r\nnll_min,-3.5,,Converged\n")
+        assert _read_fit_result(str(path)) == {"mean": 5.25, "n_gauss": 1000.0, "nll_min": -3.5}
+
+    def test_non_float_value_names_line_and_column(self, tmp_path, capsys):
+        code, errors, path = self._splot(
+            tmp_path, capsys,
+            self.HEADER + "n_gauss,400,,Converged\nmean,abc,,Converged\n")
+        assert code == 1
+        assert errors == [f"error: {path}: line 3, column 'value': expected a float, got 'abc'"]
+
+    def test_short_line_names_line_and_column(self, tmp_path, capsys):
+        # was skipped, so the run failed later on "missing initial yield"
+        code, errors, path = self._splot(
+            tmp_path, capsys,
+            self.HEADER + "n_gauss,400,,Converged\n\nmean\nn_exp,600,,Converged\n")
+        assert code == 1
+        assert errors == [
+            f"error: {path}: line 4, column 'value': missing (1 field, expected at least 2)"
+        ]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import hepkit as hk
-from hepkit.fitting import FitStatus, generate_model_sample, numeric_errors
+from hepkit import fitting
+from hepkit.fitting import FitStatus, _yield_stationarity, generate_model_sample, numeric_errors
+from hepkit.parallel import CHUNK, EVAL_BATCH, chunk_bounds, ordered_total, run_batches
 from toymodel import build_model, RANGE, TRUTH
 
 
@@ -235,6 +237,44 @@ class TestNumericErrors:
         params = hk.ParamSet([hk.Parameter("x", 0.0)])
         assert numeric_errors(lambda ps: -ps["x"].value ** 2, params) is None
 
+    def test_exact_yield_block(self):
+        # x, y, z differenced; n has its exact gradient and block
+        H = np.array([
+            [2.0, 0.6, 0.3, 0.5],
+            [0.6, 1.0, 0.2, -0.4],
+            [0.3, 0.2, 1.5, 0.1],
+            [0.5, -0.4, 0.1, 3.0],
+        ])
+        names = ("x", "y", "z", "n")
+        params = hk.ParamSet([hk.Parameter(name, 0.0) for name in names])
+        passes = []
+
+        def obj(ps):
+            passes.append("f")
+            v = np.array([ps[name].value for name in names])
+            return 0.5 * float(v @ H @ v)
+
+        def derivatives(ps):
+            passes.append("d")
+            v = np.array([ps[name].value for name in names])
+            return 0.5 * float(v @ H @ v), {"n": float(H[3] @ v)}, H[3:, 3:]
+
+        errors = numeric_errors(obj, params, derivatives)
+        cov = np.linalg.inv(H)
+        for i, name in enumerate(names):
+            assert errors[name] == pytest.approx(math.sqrt(cov[i, i]), rel=1e-6)
+        # centre, two per shape diagonal, two per shape pair
+        assert passes.count("d") == 1 + 2 * 3
+        assert passes.count("f") == 2 * 3
+
+    def test_yield_on_bound_returns_none_without_passes(self):
+        params = hk.ParamSet([hk.Parameter("x", 1.0), hk.Parameter("n", 0.0, lower=0.0)])
+
+        def never(ps):
+            raise AssertionError("no pass expected")
+
+        assert numeric_errors(never, params, never) is None
+
 
 class TestFit:
     def test_recovers_truth_and_yield_sum(self):
@@ -303,3 +343,164 @@ class TestGenerateModelSample:
         a = generate_model_sample(model, hk.RngKey(66, 2), workers=1)
         b = generate_model_sample(model, hk.RngKey(66, 2), workers=8)
         assert np.array_equal(a.column("x0"), b.column("x0"))
+
+
+# ---------------------------------------------------------------------------
+# the fused likelihood pass against the density-then-log pass it replaced
+
+def _reference_nll(model, store, observable_columns, workers=1):
+    """The NLL as a density-then-log pass with per-slice chunk sums."""
+    n = len(store)
+    cols = store.columns(observable_columns)
+    for _, pdf in model.components:
+        pdf.norm()
+
+    def batch(a, b):
+        args = tuple(c[a:b] for c in cols)
+        dens = model.density(args)
+        bad = ~(dens > 0) | ~np.isfinite(dens)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise ValueError(f"model density {dens[j]!r} is not positive at event {a + j}")
+        logs = np.log(dens)
+        return [float(np.sum(logs[ca - a : cb - a])) for ca, cb in chunk_bounds(a, b)]
+
+    partials = [p for chunk_list in run_batches(batch, n, workers) for p in chunk_list]
+    return model.expected_total() - ordered_total(partials)
+
+
+def _gauss_exp_sample(seed, n_sig=4000, n_bkg=6000):
+    """Gaussian (5, 0.5) and exponential (tau 3, truncated to [0, 10])
+    events drawn with numpy."""
+    rng = np.random.default_rng(seed)
+    sig = rng.normal(5.0, 0.5, n_sig)
+    u = rng.random(n_bkg)
+    bkg = -3.0 * np.log1p(-u * -math.expm1(-10.0 / 3.0))
+    return _store(np.concatenate([sig, bkg]))
+
+
+def _start_model(scale=0.2):
+    return build_model(scale=scale, mean=4.7, sigma=0.6, tau=2.6)
+
+
+# Fits of three samples recorded as hex floats at commit 80d8e93, whose
+# Hessian differenced every pair of parameters.  The simplex sees the same
+# NLL values, so shapes, call counts and status are bitwise those; the
+# yields move in the last digits because the Newton polish now takes the
+# density from the NLL's fold, and the errors by up to ~1e-6 because the
+# yield block is exact.
+GOLDEN = {
+    11: ({"n_sig": "0x1.f04bed3ce727bp+11", "mean": "0x1.40cf458cefc3fp+2",
+          "sigma": "0x1.f37029eefd614p-2", "n_bkg": "0x1.78da09618be01p+12",
+          "tau": "0x1.7b723c58e9122p+1"},
+         {"n_sig": "0x1.3073998b77e79p+6", "mean": "0x1.41bd894a81d99p-7",
+          "sigma": "0x1.2454cbff57663p-7", "n_bkg": "0x1.6274a6fc8435ep+6",
+          "tau": "0x1.d74bdc908ff2ep-5"},
+         "-0x1.ee6a009063d0ap+15", 174),
+    12: ({"n_sig": "0x1.fb3192823e130p+11", "mean": "0x1.4081f03ef81d2p+2",
+          "sigma": "0x1.080c276157d6cp-1", "n_bkg": "0x1.736736bee0f3ap+12",
+          "tau": "0x1.7e49109480682p+1"},
+         {"n_sig": "0x1.34cad717b273bp+6", "mean": "0x1.4f70b8431b156p-7",
+          "sigma": "0x1.2bf64ba8600a6p-7", "n_bkg": "0x1.62468b005de46p+6",
+          "tau": "0x1.e3ba1ab164ecdp-5"},
+         "-0x1.edafc3f2a564ap+15", 197),
+    13: ({"n_sig": "0x1.e83485ba84acfp+11", "mean": "0x1.417be7fc2dcb2p+2",
+          "sigma": "0x1.f4b3c68f84c1cp-2", "n_bkg": "0x1.7ce5bd22bda7ep+12",
+          "tau": "0x1.7eeffe10ac118p+1"},
+         {"n_sig": "0x1.2d89b7953330ap+6", "mean": "0x1.43d555870b08dp-7",
+          "sigma": "0x1.20285b225ce4cp-7", "n_bkg": "0x1.62e306d6a105fp+6",
+          "tau": "0x1.da871c4923eefp-5"},
+         "-0x1.edb74f12ff643p+15", 210),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_golden_fit(seed):
+    values, errors, nll_min, n_calls = GOLDEN[seed]
+    model = _start_model()
+    res = hk.fit(model, _gauss_exp_sample(seed), ["x0"])
+    assert res.status is FitStatus.CONVERGED
+    assert res.n_calls == n_calls
+    for name in ("mean", "sigma", "tau"):
+        assert res.params[name].value.hex() == values[name]
+    for name in ("n_sig", "n_bkg"):
+        assert res.params[name].value == pytest.approx(float.fromhex(values[name]), rel=1e-12)
+    assert res.nll_min == pytest.approx(float.fromhex(nll_min), abs=1e-9)
+    assert res.errors.keys() == errors.keys()
+    for name, err in errors.items():
+        assert res.errors[name] == pytest.approx(float.fromhex(err), rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, EVAL_BATCH + 7])
+def test_nll_bitwise_equals_reference(n):
+    model = build_model(scale=0.2, mean=5.1, sigma=0.45, tau=3.3)
+    data = _store(np.random.default_rng(n).uniform(*RANGE, n))
+    expected = _reference_nll(model, data, ["x0"])
+    for workers in (1, 2, 8):
+        assert hk.nll(model, data, ["x0"], workers=workers).hex() == expected.hex()
+
+
+def test_fit_result_bitwise_across_workers():
+    data = _gauss_exp_sample(21, 28000, 42000)
+    assert len(data) > EVAL_BATCH
+    results = {}
+    for workers in (1, 2, 8):
+        res = hk.fit(_start_model(scale=1.4), data, ["x0"], workers=workers)
+        assert res.status is FitStatus.CONVERGED
+        results[workers] = (
+            {p.name: p.value.hex() for p in res.params},
+            {k: v.hex() for k, v in res.errors.items()},
+            res.nll_min.hex(), res.n_calls,
+        )
+    assert results[1] == results[2] == results[8]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_bad_density_names_first_bad_event(bad):
+    # density 0.4 x + 0.6 x: the data value is the density
+    region = hk.BoundedRegion((RANGE,))
+    model = hk.add_pdfs(
+        [hk.Parameter("a", 0.4), hk.Parameter("b", 0.6)],
+        [hk.make_pdf(hk.identity(), lambda r: 1.0, region) for _ in range(2)],
+    )
+    x = np.random.default_rng(5).uniform(1.0, 2.0, 3 * EVAL_BATCH)
+    first = EVAL_BATCH + 2 * CHUNK + 1234    # second batch, mid-chunk
+    x[[first, first + 3 * CHUNK, 2 * EVAL_BATCH + 5]] = bad
+    data = _store(x)
+    with pytest.raises(ValueError) as ref:
+        _reference_nll(model, data, ["x0"])
+    assert str(ref.value).endswith(f"at event {first}")
+    for workers in (1, 2, 8):
+        with pytest.raises(ValueError) as got:
+            hk.nll(model, data, ["x0"], workers=workers)
+        assert str(got.value) == str(ref.value)
+        # the yield polish names it too (it let +inf through before)
+        with pytest.raises(ValueError) as got:
+            _yield_stationarity(model, data, ["x0"], workers)
+        assert str(got.value) == str(ref.value)
+
+
+def test_hessian_takes_13_passes(monkeypatch):
+    passes = []
+    inner_pass = fitting._likelihood_pass
+    inner_errors = fitting.numeric_errors
+
+    def counting_pass(*args, **kwargs):
+        passes.append("pass")
+        return inner_pass(*args, **kwargs)
+
+    def marking_errors(*args, **kwargs):
+        passes.append("start")
+        out = inner_errors(*args, **kwargs)
+        passes.append("end")
+        return out
+
+    monkeypatch.setattr(fitting, "_likelihood_pass", counting_pass)
+    monkeypatch.setattr(fitting, "numeric_errors", marking_errors)
+    model = _start_model()
+    res = hk.fit(model, _gauss_exp_sample(11), ["x0"])
+    assert res.status is FitStatus.CONVERGED
+    assert len(model.param_set().free()) == 5
+    inside = passes[passes.index("start") + 1 : passes.index("end")]
+    # centre, 2 per shape diagonal, 2 per shape pair: 1 + 2*3 + 2*3
+    assert len(inside) == 13
