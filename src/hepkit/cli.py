@@ -232,15 +232,21 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-def _fit_csv(result, model: ExtendedModel) -> str:
-    lines = ["name,value,error,status"]
+def _param_rows(result, model: ExtendedModel) -> list[str]:
+    """One ``name,value,error,status`` row per model parameter."""
     status = result.status.value
+    rows = []
     for p in model.param_set():
         err = ""
         if result.errors and p.name in result.errors:
             err = f"{result.errors[p.name]:.17g}"
-        lines.append(f"{p.name},{p.value:.17g},{err},{status}")
-    lines.append(f"nll_min,{result.nll_min:.17g},,{status}")
+        rows.append(f"{p.name},{p.value:.17g},{err},{status}")
+    return rows
+
+
+def _fit_csv(result, model: ExtendedModel) -> str:
+    lines = ["name,value,error,status", *_param_rows(result, model)]
+    lines.append(f"nll_min,{result.nll_min:.17g},,{result.status.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -273,12 +279,7 @@ def cmd_toys(args) -> int:
         sample = generate_model_sample(model, key, workers=args.workers)
         result = fit(model, sample, ["x0"], workers=args.workers,
                      max_iterations=args.max_iterations)
-        status = result.status.value
-        for p in model.param_set():
-            err = ""
-            if result.errors and p.name in result.errors:
-                err = f"{result.errors[p.name]:.17g}"
-            lines.append(f"{t},{p.name},{p.value:.17g},{err},{status}")
+        lines += [f"{t},{row}" for row in _param_rows(result, model)]
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 

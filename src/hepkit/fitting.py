@@ -38,7 +38,7 @@ import numpy as np
 from .functors import FunctorExpr, ParamSet
 from .integrate import gk_adaptive, plain_mc
 from .kinematics import Parameter
-from .parallel import CHUNK, ordered_total, run_batches
+from .parallel import CHUNK, chunk_sums, fold, run_batches
 from .rng import BoundedRegion, RngKey, raw64, sample_pdf
 from .store import ColumnStore
 
@@ -168,13 +168,28 @@ class ExtendedModel:
                     out.add(p)
         return out
 
+    def evaluate(self, args: tuple) -> tuple[list[np.ndarray], np.ndarray]:
+        """Each component's pdf_k(x) and the density sum_k N_k pdf_k(x), a
+        left fold in component order; norms come from the per-pdf cache."""
+        pdfs = [pdf.value(args) for _, pdf in self.components]
+        total = None
+        for (y, _), p in zip(self.components, pdfs):
+            term = y.value * p
+            total = term if total is None else total + term
+        return pdfs, total
+
     def density(self, args: tuple) -> np.ndarray:
         """sum_k N_k pdf_k(x); norms come from the per-pdf cache."""
-        total = None
-        for y, pdf in self.components:
-            term = y.value * pdf.value(args)
-            total = term if total is None else total + term
-        return total
+        return self.evaluate(args)[1]
+
+
+def check_density(dens: np.ndarray, offset: int) -> None:
+    """Reject a density that is not positive and finite, naming the first
+    bad event by its store index (``offset`` is the slice's first event)."""
+    bad = ~(dens > 0) | ~np.isfinite(dens)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise ValueError(f"model density {dens[j]!r} is not positive at event {offset + j}")
 
 
 def add_pdfs(yields: Sequence[Parameter], pdfs: Sequence[Pdf]) -> ExtendedModel:
@@ -193,61 +208,47 @@ def _likelihood_pass(
     """One data-parallel pass over the store: the extended NLL and, when
     ``moments`` is set, sum_e r and r^T r with r_k = pdf_k / density.
 
-    Each component's pdf is evaluated once per batch and the density is the
-    same left fold of N_k pdf_k as ``ExtendedModel.density``, so the NLL is
-    bitwise that of a density-then-log pass.  A non-positive or non-finite
-    density makes a chunk's log sum non-finite; only then is the first bad
-    event of the batch located and named.
+    Each component's pdf is evaluated once per batch and the density is
+    ``ExtendedModel.evaluate``'s left fold, so the NLL is bitwise that of a
+    density-then-log pass.  A batch returns one row per chunk: the log sum,
+    then with moments sum r (k) and the flattened chunk r^T r (k^2), and
+    every total is the fixed-order ``fold`` of those rows.  A non-positive
+    or non-finite density makes a chunk's log sum non-finite; only then is
+    the first bad event of the batch located and named.
     """
     n = len(store)
     if n == 0:
-        raise ValueError("cannot fit an empty store")
+        raise ValueError("the store is empty: a likelihood needs at least one event")
     if len(observable_columns) != model.arity:
         raise ValueError(
             f"model consumes {model.arity} observables, got {len(observable_columns)}"
         )
     cols = store.columns(observable_columns)
-    yields = [y.value for y, _ in model.components]
+    k = len(model.components)
     for _, pdf in model.components:
         pdf.norm()    # fill caches serially before the parallel section
 
-    def batch(a: int, b: int):
-        args = tuple(c[a:b] for c in cols)
-        pdfs = [pdf.value(args) for _, pdf in model.components]
-        dens = None
-        for y, p in zip(yields, pdfs):
-            term = y * p
-            dens = term if dens is None else dens + term
+    def batch(a: int, b: int) -> np.ndarray:
+        pdfs, dens = model.evaluate(tuple(c[a:b] for c in cols))
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(dens)
-        full = (b - a) // CHUNK * CHUNK
-        sums = logs[:full].reshape(-1, CHUNK).sum(axis=1).tolist()
-        if full < b - a:
-            sums.append(float(np.sum(logs[full:])))
-        if not math.isfinite(sum(sums)):
-            bad = ~(dens > 0) | ~np.isfinite(dens)
-            j = int(np.argmax(bad))
-            raise ValueError(
-                f"model density {dens[j]!r} is not positive at event {a + j}"
-            )
+            sums = chunk_sums(np.log(dens)[None, :])
+        if not math.isfinite(sum(sums[:, 0].tolist())):
+            check_density(dens, a)
         if not moments:
-            return sums, ()
-        r = np.empty((len(pdfs), b - a))
+            return sums
+        r = np.empty((k, b - a))
         for row, p in zip(r, pdfs):
             np.divide(p, dens, out=row)
-        chunks = [r[:, s : s + CHUNK] for s in range(0, b - a, CHUNK)]
-        return sums, [(rc.sum(axis=1), rc @ rc.T) for rc in chunks]
+        # r^T r stays one BLAS product per chunk: chunk_sums of the r_k r_j
+        # rows would round the exact yield Hessian block differently
+        rtr = [rc @ rc.T for rc in (r[:, s : s + CHUNK] for s in range(0, b - a, CHUNK))]
+        return np.hstack([sums, chunk_sums(r), np.reshape(rtr, (len(sums), k * k))])
 
-    parts = run_batches(batch, n, workers)
-    value = model.expected_total() - ordered_total([s for sums, _ in parts for s in sums])
+    totals = fold(run_batches(batch, n, workers))
+    value = model.expected_total() - float(totals[0])
     if not moments:
         return value, None, None
-    chunk_moments = [m for _, ms in parts for m in ms]
-    return (
-        value,
-        ordered_total([s for s, _ in chunk_moments]),
-        ordered_total([rtr for _, rtr in chunk_moments]),
-    )
+    return value, totals[1 : 1 + k], totals[1 + k :].reshape(k, k)
 
 
 def nll(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functors import EvaluationError, FunctorExpr
-from .parallel import chunk_bounds, run_batches
+from .parallel import CHUNK, chunk_sums, fold, run_batches
 from .rng import BoundedRegion, RngKey, uniform_array
 
 
@@ -69,25 +69,16 @@ def plain_mc(
     span = region.upper - region.lower
     volume = region.volume()
 
-    def batch(a: int, b: int) -> list[tuple[float, float]]:
+    def batch(a: int, b: int) -> np.ndarray:
         idx = np.arange(a, b, dtype=np.uint64)
         counters = (idx[:, None] * np.uint64(d) + np.arange(d, dtype=np.uint64)[None, :])
         u = uniform_array(key, counters.ravel()).reshape(b - a, d)
         pts = tuple(lo[k] + u[:, k] * span[k] for k in range(d))
         vals = np.asarray(expr.eval(pts), dtype=float)
         _check_finite(vals, pts)
-        out = []
-        for ca, cb in chunk_bounds(a, b):
-            seg = vals[ca - a : cb - a]
-            out.append((float(np.sum(seg)), float(np.sum(seg * seg))))
-        return out
+        return chunk_sums(np.stack([vals, vals * vals]))
 
-    partials = [p for chunk_list in run_batches(batch, calls, workers) for p in chunk_list]
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in partials:
-        total += s
-        total_sq += s2
+    total, total_sq = fold(run_batches(batch, calls, workers)).tolist()
     mean = total / calls
     var = max(total_sq / calls - mean * mean, 0.0)
     return IntegrationResult(
@@ -305,7 +296,7 @@ def vegas(
         raise ValueError("iterations must be >= 1")
     grid = VegasGrid.uniform(region, bins)
     estimates: list[tuple[float, float]] = []
-    saw_negative = False
+    negatives = 0.0
     calls = calls_per_iteration
 
     for it in range(iterations):
@@ -334,33 +325,20 @@ def vegas(
             _check_finite(vals, tuple(pts))
             y = vals * jac
             y2 = y * y
-            out = []
-            for ca, cb in chunk_bounds(a, b):
-                lo_, hi_ = ca - a, cb - a
-                seg, seg2 = y[lo_:hi_], y2[lo_:hi_]
-                binned = [
-                    np.bincount(bidx[lo_:hi_, k], weights=seg2, minlength=bins)
-                    for k in range(d)
-                ]
-                counts = [
-                    np.bincount(bidx[lo_:hi_, k], minlength=bins) for k in range(d)
-                ]
-                out.append((float(np.sum(seg)), float(np.sum(seg2)), binned, counts))
-            return out, bool(np.any(vals < 0))
+            # columns: sum y, sum y^2, the count of negative values, the y^2
+            # sums of every dimension's bins, then their counts; one bincount
+            # per dimension fills the bins of every chunk at once
+            sums = chunk_sums(np.stack([y, y2, vals < 0]))
+            c = len(sums)
+            cell = (np.arange(b - a) // CHUNK * bins)[:, None] + bidx
+            binned = [np.bincount(cell[:, k], weights=y2, minlength=c * bins) for k in range(d)]
+            counts = [np.bincount(cell[:, k], minlength=c * bins) for k in range(d)]
+            return np.hstack([sums] + [h.reshape(c, bins) for h in binned + counts])
 
-        results = run_batches(batch, calls, workers)
-        total = 0.0
-        total_sq = 0.0
-        dist_sum = [np.zeros(bins) for _ in range(d)]
-        dist_cnt = [np.zeros(bins, dtype=np.int64) for _ in range(d)]
-        for chunk_list, neg in results:
-            saw_negative = saw_negative or neg
-            for s, s2, binned, counts in chunk_list:
-                total += s
-                total_sq += s2
-                for k in range(d):
-                    dist_sum[k] = dist_sum[k] + binned[k]
-                    dist_cnt[k] = dist_cnt[k] + counts[k]
+        totals = fold(run_batches(batch, calls, workers))
+        total, total_sq = totals[:2].tolist()
+        negatives += totals[2]
+        dist_sum, dist_cnt = totals[3:].reshape(2, d, bins)
         # count-normalized per-bin contribution: the mean of (f J)^2 in a
         # bin estimates the bin's variance share without the multinomial
         # noise of raw sums, so a flat integrand leaves the grid fixed
@@ -374,7 +352,7 @@ def vegas(
         if it + 1 < iterations:
             grid = vegas_refine(grid, dist, alpha)
 
-    if saw_negative:
+    if negatives:
         warnings.warn(
             "vegas received a negative integrand; grid refinement weighs |f|",
             stacklevel=2,

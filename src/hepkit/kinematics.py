@@ -1,7 +1,8 @@
 """Relativistic kinematics primitives (GeV, metric +,-,-,-).
 
 All scalars are 64-bit floats.  Operations are pure functions on value
-types and safe to call concurrently.
+types and safe to call concurrently; ``boost`` also takes numpy arrays and
+is the one boost core of the package.
 """
 
 from __future__ import annotations
@@ -132,24 +133,29 @@ def breakup_momentum(M: float, m1: float, m2: float) -> float:
     return math.sqrt(max(0.0, lam)) / (2.0 * M)
 
 
-def boost_into(v: FourVector, frame: FourVector) -> FourVector:
-    """Boost ``v`` from the rest frame of ``frame`` into the frame where
-    ``frame`` carries its given momentum.
+def boost(e, px, py, pz, fe, fx, fy, fz, fm):
+    """Boost (e, px, py, pz) from the rest frame of a frame with energy
+    ``fe``, momentum (fx, fy, fz) and mass ``fm`` into the frame where it
+    carries that momentum.
 
-    The rapidity factors are taken as gamma = E/M and gamma^2/(gamma+1),
-    which avoids the cancellation in (gamma-1)/beta^2 near rest.
+    Array-safe: scalars and numpy arrays broadcast together, so one call
+    boosts a whole column of events.  The rapidity factors are taken as
+    gamma = E/M and gamma^2/(gamma+1), which avoids the cancellation in
+    (gamma-1)/beta^2 near rest.  Preconditions are the caller's;
+    ``boost_into`` checks them for one four-vector.
     """
+    gamma = fe / fm
+    bx, by, bz = fx / fe, fy / fe, fz / fe
+    bp = bx * px + by * py + bz * pz
+    k = gamma * gamma / (gamma + 1.0) * bp + gamma * e
+    return gamma * (e + bp), px + k * bx, py + k * by, pz + k * bz
+
+
+def boost_into(v: FourVector, frame: FourVector) -> FourVector:
+    """``boost`` of one four-vector into the frame where ``frame`` carries
+    its given momentum; NonPhysical unless ``frame`` is time-like."""
     m2 = frame.mass2()
     if m2 <= 0:
         raise NonPhysical(f"boost frame must be time-like, m^2 = {m2!r}")
-    m = math.sqrt(m2)
-    gamma = frame.e / m
-    bx, by, bz = frame.px / frame.e, frame.py / frame.e, frame.pz / frame.e
-    bp = bx * v.px + by * v.py + bz * v.pz
-    k = gamma * gamma / (gamma + 1.0) * bp + gamma * v.e
-    return FourVector(
-        gamma * (v.e + bp),
-        v.px + k * bx,
-        v.py + k * by,
-        v.pz + k * bz,
-    )
+    return FourVector(*boost(v.e, v.px, v.py, v.pz,
+                             frame.e, frame.px, frame.py, frame.pz, math.sqrt(m2)))

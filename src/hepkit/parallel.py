@@ -1,10 +1,15 @@
 """Deterministic data-parallel execution.
 
 Every bulk operation in this package decomposes its index space into
-fixed-size evaluation batches and accumulates per-chunk partial results
-in a fixed order.  Both sizes are constants, independent of the worker
-count, so workers only decide *who* runs a batch, never *what* a batch
-contains.  Results are therefore bitwise identical for any number of
+fixed-size evaluation batches (``run_batches``) and reduces them with one
+primitive: a batch lays its per-row terms out ``(q, m)`` and returns their
+per-chunk sums ``chunk_sums(rows)``, a ``(c, q)`` array, and the caller
+reads its totals from ``fold`` of the batch results, the left fold of
+every chunk row in global order.  Both sizes are constants, independent of
+the worker count, and ``EVAL_BATCH`` is a multiple of ``CHUNK``, so every
+batch starts on the global chunk grid and batch-local chunks are global
+chunks.  Workers only decide *who* runs a batch, never *what* a batch or a
+chunk contains, so results are bitwise identical for any number of
 workers.
 """
 
@@ -14,6 +19,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 CHUNK = 4096
 """Reduction granularity: partial results are produced per CHUNK rows."""
@@ -71,22 +78,27 @@ def run_batches(
     return list(_pool(w).map(lambda r: fn(r[0], r[1]), ranges))
 
 
-def chunk_bounds(start: int, stop: int, chunk: int = CHUNK) -> list[tuple[int, int]]:
-    """Chunk windows inside [start, stop), aligned to the global chunk grid."""
-    first = (start // chunk) * chunk
-    out = []
-    for s in range(first, stop, chunk):
-        a = max(s, start)
-        b = min(s + chunk, stop)
-        if a < b:
-            out.append((a, b))
+def chunk_sums(rows: np.ndarray) -> np.ndarray:
+    """Per-chunk sums of ``q`` per-row terms over a batch of ``m`` rows,
+    laid out ``(q, m)``; returns ``(ceil(m / CHUNK), q)``.
+
+    Entry ``[i, j]`` is term ``j`` summed over the batch's rows
+    ``[i*CHUNK, (i+1)*CHUNK)``, bitwise ``np.sum`` of that slice; the last
+    chunk may be short.  Batch-local chunks are global chunks only because
+    every ``run_batches`` window starts on the chunk grid.
+    """
+    q, m = rows.shape
+    full = m // CHUNK * CHUNK
+    out = np.empty((-(-m // CHUNK), q))
+    # np.add.reduce is np.sum without its Python-level dispatch, which
+    # matters on the small batches of a fit
+    np.add.reduce(rows[:, :full].reshape(q, -1, CHUNK), axis=2, out=out[: full // CHUNK].T)
+    if full < m:
+        np.add.reduce(rows[:, full:], axis=1, out=out[-1])
     return out
 
 
-def ordered_total(partials: Sequence[T]) -> T:
-    """Left-fold partial results in their fixed order (deterministic)."""
-    it = iter(partials)
-    total = next(it)
-    for p in it:
-        total = total + p
-    return total
+def fold(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The left fold, in global chunk order, of the ``(c, q)`` chunk sums of
+    every batch: one total per term, the same for any worker count."""
+    return np.add.accumulate(np.concatenate(parts))[-1]

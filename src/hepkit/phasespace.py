@@ -25,10 +25,11 @@ from .kinematics import (
     MASS_TOLERANCE,
     BelowThreshold,
     FourVector,
+    boost,
     breakup_momentum,
     invariant_mass,
 )
-from .parallel import EVAL_BATCH, chunk_bounds, run_batches
+from .parallel import EVAL_BATCH, chunk_sums, fold, run_batches
 from .rng import RngKey, uniform_array, _u64
 from .store import ColumnSchema, ColumnStore
 
@@ -69,16 +70,6 @@ def _pdk_array(M: np.ndarray, m1: np.ndarray | float, m2: float) -> np.ndarray:
     M2, a2, b2 = M * M, np.square(m1), m2 * m2
     lam = (M2 - a2 - b2) ** 2 - 4.0 * a2 * b2
     return np.sqrt(np.maximum(lam, 0.0)) / (2.0 * M)
-
-
-def _boost(e, px, py, pz, fe, fx, fy, fz, fm):
-    """Boost (e, p) from the rest frame of a frame with components (fe, f*)
-    and mass fm into the frame where it has that momentum.  Array-safe."""
-    gamma = fe / fm
-    bx, by, bz = fx / fe, fy / fe, fz / fe
-    bp = bx * px + by * py + bz * pz
-    k = gamma * gamma / (gamma + 1.0) * bp + gamma * e
-    return gamma * (e + bp), px + k * bx, py + k * by, pz + k * bz
 
 
 def _draws_per_event(n: int) -> int:
@@ -142,7 +133,7 @@ def _generate_rest_frame(
             cl_e = np.sqrt(p * p + cl_m * cl_m)
             cl_x, cl_y, cl_z = p * nx, p * ny, p * nz
             for j in range(k):
-                e[j], px[j], py[j], pz[j] = _boost(
+                e[j], px[j], py[j], pz[j] = boost(
                     e[j], px[j], py[j], pz[j], cl_e, cl_x, cl_y, cl_z, cl_m
                 )
             e[k] = np.sqrt(p * p + masses[k] * masses[k])
@@ -181,7 +172,7 @@ def phsp_generate(
     moving = mother.px != 0.0 or mother.py != 0.0 or mother.pz != 0.0
     if moving:
         for j in range(spec.n):
-            comps[4 * j], comps[4 * j + 1], comps[4 * j + 2], comps[4 * j + 3] = _boost(
+            comps[4 * j], comps[4 * j + 1], comps[4 * j + 2], comps[4 * j + 3] = boost(
                 comps[4 * j], comps[4 * j + 1], comps[4 * j + 2], comps[4 * j + 3],
                 mother.e, mother.px, mother.py, mother.pz, m_mother,
             )
@@ -271,8 +262,8 @@ def phsp_decay_chain(
     boosted = []
     for j in range(subspec.n):
         boosted.append(
-            _boost(sub[4 * j], sub[4 * j + 1], sub[4 * j + 2], sub[4 * j + 3],
-                   fe, fx, fy, fz, fm)
+            boost(sub[4 * j], sub[4 * j + 1], sub[4 * j + 2], sub[4 * j + 3],
+                  fe, fx, fy, fz, fm)
         )
 
     weight = block.column("weight") * sub_w
@@ -299,7 +290,7 @@ def phsp_average(
     ``arg_builder`` receives a dict of column slices for a batch of events
     and returns the tuple of argument arrays for the expression.  The
     result value is sum(w f) / sum(w) with the weighted standard error;
-    accumulation uses the fixed-order chunk reduction.
+    the five weight sums are one fixed-order chunk reduction.
     """
     n = len(block)
     if n == 0:
@@ -315,27 +306,11 @@ def phsp_average(
             j = int(np.argmax(~np.isfinite(f)))
             raise EvaluationError(f"non-finite model value at event {a + j}")
         w = w_col[a:b]
-        out = []
-        for ca, cb in chunk_bounds(a, b):
-            lo_, hi_ = ca - a, cb - a
-            ws, fs = w[lo_:hi_], f[lo_:hi_]
-            out.append((
-                float(np.sum(ws)),
-                float(np.sum(ws * fs)),
-                float(np.sum(ws * ws)),
-                float(np.sum(ws * ws * fs)),
-                float(np.sum(ws * ws * fs * fs)),
-            ))
-        return out
+        ww = w * w
+        wwf = ww * f
+        return chunk_sums(np.stack([w, w * f, ww, wwf, wwf * f]))
 
-    partials = [p for chunk_list in run_batches(batch, n, workers) for p in chunk_list]
-    sw = swf = sw2 = sw2f = sw2f2 = 0.0
-    for p in partials:
-        sw += p[0]
-        swf += p[1]
-        sw2 += p[2]
-        sw2f += p[3]
-        sw2f2 += p[4]
+    sw, swf, sw2, sw2f, sw2f2 = fold(run_batches(batch, n, workers)).tolist()
     if sw <= 0:
         raise ValueError("total weight is not positive")
     mu = swf / sw

@@ -9,10 +9,13 @@ and the per-event weight for species n is
 
     sw_n(e) = sum_j V_nj pdf_j(x_e) / sum_k N_k pdf_k(x_e).
 
-At the extended-ML optimum the weights of each event sum to one and the
-per-species weight sums reproduce the fitted yields.  Both accumulations
-use the fixed-order chunk reduction, so matrix and table are bitwise
-identical for any worker count.
+V^-1 is the r^T r moment (r_k = pdf_k / density) of the fit's own
+likelihood pass, which in the same pass gives sum_e r, the stationarity
+residual of the yields.  The weights take the pdf values and the density
+from ``ExtendedModel.evaluate``, the pass's left fold.  At the extended-ML
+optimum the weights of each event sum to one and the per-species weight
+sums reproduce the fitted yields.  Matrix and table are bitwise identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fitting import ExtendedModel
-from .parallel import chunk_bounds, run_batches
+from .fitting import ExtendedModel, _likelihood_pass, check_density
+from .parallel import run_batches
 from .store import ColumnSchema, ColumnStore
 
 # the model must sit at its extended-ML optimum for the sPlot identities
@@ -30,16 +33,6 @@ from .store import ColumnSchema, ColumnStore
 _STATIONARITY_TOL = 1e-6
 
 _CONDITION_LIMIT = 1e12
-
-
-def _pdf_matrix(model: ExtendedModel, args: tuple, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    p = np.stack([pdf.value(args) for _, pdf in model.components], axis=1)
-    dens = p @ np.array([y.value for y, _ in model.components])
-    bad = ~(dens > 0) | ~np.isfinite(dens)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise ValueError(f"model density {dens[j]!r} is not positive at event {offset + j}")
-    return p, dens
 
 
 def splot_matrix(
@@ -53,26 +46,7 @@ def splot_matrix(
     Raises when the accumulated matrix is numerically singular (degenerate
     species) or when the yields are not at their extended-ML optimum.
     """
-    cols = store.columns(observable_columns)
-    k = len(model.components)
-    for _, pdf in model.components:
-        pdf.norm()
-
-    def batch(a: int, b: int):
-        p, dens = _pdf_matrix(model, tuple(c[a:b] for c in cols), a)
-        ratios = p / dens[:, None]
-        out = []
-        for ca, cb in chunk_bounds(a, b):
-            r = ratios[ca - a : cb - a]
-            out.append((r.T @ r, r.sum(axis=0)))
-        return out
-
-    partials = [p for chunk_list in run_batches(batch, len(store), workers) for p in chunk_list]
-    vinv = np.zeros((k, k))
-    station = np.zeros(k)
-    for am, gs in partials:
-        vinv = vinv + am
-        station = station + gs
+    _, station, vinv = _likelihood_pass(model, store, observable_columns, workers, moments=True)
     residual = np.max(np.abs(station - 1.0))
     if residual > _STATIONARITY_TOL:
         raise ValueError(
@@ -109,8 +83,9 @@ def splot_weights(
         pdf.norm()
 
     def batch(a: int, b: int) -> None:
-        p, dens = _pdf_matrix(model, tuple(c[a:b] for c in cols), a)
-        out[a:b] = (p @ V.T) / dens[:, None]
+        pdfs, dens = model.evaluate(tuple(c[a:b] for c in cols))
+        check_density(dens, a)
+        out[a:b] = (np.stack(pdfs, axis=1) @ V.T) / dens[:, None]
 
     run_batches(batch, n, workers)
     schema = ColumnSchema.real64(*(f"sw_{name}" for name in model.species()))

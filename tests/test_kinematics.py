@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hepkit as hk
-from hepkit.kinematics import BelowThreshold, NonPhysical
+from hepkit.kinematics import BelowThreshold, NonPhysical, boost
 
 
 class TestInvariantMass:
@@ -110,6 +110,25 @@ class TestBoostInto:
     def test_lightlike_frame_raises(self):
         with pytest.raises(NonPhysical):
             hk.boost_into(hk.FourVector(1, 0, 0, 0), hk.FourVector(1.0, 0, 0, 1.0))
+
+    @pytest.mark.parametrize("log10_p_over_m", [-9.0, -3.0, 0.0, 3.5])
+    def test_is_the_array_core_on_one_element(self, log10_p_over_m):
+        # gamma - 1 from about 5e-19 (gamma == 1 in double) up to gamma > 3e3;
+        # phsp_decay_chain and phsp_generate run the same core on columns
+        # (their output bytes are pinned in test_golden)
+        rng = np.random.default_rng(int(10 * log10_p_over_m) + 100)
+        for _ in range(500):
+            v = _random_timelike(rng)
+            m = rng.uniform(0.1, 3.0)
+            direction = rng.standard_normal(3)
+            p = direction / np.linalg.norm(direction) * m * 10.0 ** log10_p_over_m
+            frame = hk.FourVector(math.sqrt(m * m + float(p @ p)), *p)
+            out = hk.boost_into(v, frame)
+            args = (v.e, v.px, v.py, v.pz, frame.e, frame.px, frame.py, frame.pz)
+            core = boost(*(np.array([x]) for x in args), np.sqrt(np.array([frame.mass2()])))
+            assert [float(c[0]).hex() for c in core] == [
+                x.hex() for x in (out.e, out.px, out.py, out.pz)
+            ]
 
 
 class TestParameter:
