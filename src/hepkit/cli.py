@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Subcommands: phsp, integrate, fit, toys, splot, bench, hist.  Results go
+Subcommands: phsp, integrate, fit, toys, splot, hist.  Results go
 to stdout or --output as CSV; stderr carries diagnostics only (including
 the fully resolved configuration of every run).  Exit codes: 0 success,
 1 domain error (single-line diagnostic), 2 usage error.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import time
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .fitting import (
     gaussian_norm,
     generate_model_sample,
     make_pdf,
-    nll,
+    nll,    # unused here; perfbench/tracer.py rebinds cli.nll
 )
 from .functors import (
     FunctorExpr,
@@ -52,7 +51,7 @@ STREAM_TOYS = 2
 STREAM_INTEGRATION = 3
 STREAM_UNWEIGHT = 4
 
-_RANDOMIZED = {"phsp", "toys", "bench"}
+_RANDOMIZED = {"phsp", "toys"}
 
 
 class UsageError(Exception):
@@ -327,41 +326,6 @@ def cmd_splot(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    worker_counts = [int(w) for w in _parse_floats(args.workers_list)]
-    if not worker_counts or any(w < 1 for w in worker_counts):
-        raise UsageError("--workers-list needs positive worker counts")
-    bounds = _parse_range(args.range)
-    init = {"mean": bounds[0] + 0.5 * (bounds[1] - bounds[0]),
-            "sigma": 0.1 * (bounds[1] - bounds[0]),
-            "tau": 0.4 * (bounds[1] - bounds[0]),
-            "n_gauss": args.events * 0.5, "n_exp": args.events * 0.5}
-    model = build_model(args.model, bounds, init, set())
-    sample = generate_model_sample(
-        model, RngKey(args.seed, stream=STREAM_TOYS), poisson=False, workers=0
-    )
-
-    def time_nll(workers: int, reps: int) -> float:
-        best = np.inf
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                nll(model, sample, ["x0"], workers=workers)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    # scale repetitions so the single-worker run takes at least half a second
-    t_single = time_nll(1, 1)
-    reps = max(1, int(np.ceil(0.5 / max(t_single, 1e-9))))
-    t1 = time_nll(1, reps)
-    lines = ["workers,wall_seconds,speedup"]
-    for w in worker_counts:
-        tw = t1 if w == 1 else time_nll(w, reps)
-        lines.append(f"{w},{tw:.6f},{t1 / tw:.4f}")
-    _write_output("\n".join(lines) + "\n", args.output)
-    return 0
-
-
 def cmd_hist(args) -> int:
     store = read_csv(args.input)
     data = store.column(args.column)
@@ -466,15 +430,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--column", default="x0")
     _add_common(p)
     p.set_defaults(func=cmd_splot)
-
-    p = sub.add_parser("bench", help="NLL-evaluation scaling benchmark")
-    p.add_argument("--workers-list", default="1,2,4,8")
-    p.add_argument("--events", type=int, default=1000000)
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--model", default="gauss+exp")
-    p.add_argument("--range", default="0,10")
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("hist", help="histogram a CSV column")
     p.add_argument("--input", required=True)

@@ -1,29 +1,36 @@
 """Extended unbinned maximum-likelihood fitting.
 
 A Pdf pairs a non-negative shape expression with a normalizer (analytic
-closed form or numerical integration) and caches the normalization until a
-shape parameter changes.  An ExtendedModel is a yield-weighted sum of
-normalized p.d.f.s; its objective is the extended negative log-likelihood
+closed form or numerical integration) and caches the normalization, and
+the partials of its logarithm, until a shape parameter changes.  An
+ExtendedModel is a yield-weighted sum of normalized p.d.f.s; its objective
+is the extended negative log-likelihood
 
     nll = sum_k N_k - sum_e ln( sum_k N_k pdf_k(x_e) )
 
 with additive constants dropped.  Every likelihood pass of a fit is one
 data-parallel event loop with a fixed-order chunk reduction, so its values
-are bitwise identical for any worker count.  The same pass can also return
-the yield moments sum_e r and r^T r, r_k = pdf_k / density: they give the
-Newton step that polishes the yields and, since
+are bitwise identical for any worker count.  The same pass sums the score
+rows s_e = d ln density_e / d theta of the parameters it is given: a
+yield's row is r_k = pdf_k / density, a shape parameter's row is
+sum_k N_k dpdf_k/dtheta / density, from the functor tree's forward-mode
+partials and the normalizer's log-derivative.  They give the exact
+gradient
 
-    dnll/dN_k = 1 - sum_e r_k,    d2nll/dN_k dN_j = sum_e r_k r_j,
+    dnll/dtheta = d(sum_k N_k)/dtheta - sum_e s_e,
 
-the exact yield gradient and yield-yield Hessian block.  Minimization is a
-Nelder-Mead simplex over transformed coordinates (bounded parameters ride
-a smooth sine transform).  1-sigma uncertainties, following the
-delta-NLL = 0.5 convention, come from the inverse Hessian: the yield block
-exact, each yield-shape entry the central difference of the exact yield
-gradient over a shape step, the shape diagonal a central second
-difference, and each shape pair the second difference along the diagonal
-step (+h_i, +h_j) and its mirror, which reuses the diagonal passes (see
-``numeric_errors``).
+and, on request, S^T S: the BHHH (Fisher) estimate of the Hessian, whose
+yield block sum_e r_k r_j is exact.
+
+Minimization is BFGS, the variable-metric method of Minuit's MIGRAD, over
+internal coordinates in which bounded parameters ride smooth transforms.
+A fit seeds the inverse metric B with (S^T S)^-1 from its first pass and
+stops when the estimated distance to the minimum, EDM = g^T B g / 2, falls
+below a fixed absolute tolerance.  The free yields are then
+Newton-polished onto their exact stationary point.  1-sigma
+uncertainties, following the delta-NLL = 0.5 convention, come from the
+inverse Hessian: the yield block exact, every other column the central
+difference of the exact gradient (see ``numeric_errors``).
 """
 
 from __future__ import annotations
@@ -59,8 +66,9 @@ class FitResult:
 
 
 class Pdf:
-    """Shape divided by its integral over the range, with a value cache on
-    the exact tuple of shape-parameter values."""
+    """Shape divided by its integral over the range, with caches of the
+    norm and of its log-derivatives on the exact tuple of shape-parameter
+    values."""
 
     def __init__(
         self,
@@ -78,6 +86,7 @@ class Pdf:
         self._params = shape.leaf_params()
         self._cache_key: tuple[float, ...] | None = None
         self._cache_value = 0.0
+        self._log_partials: dict[int, float] | None = None
         self.norm_computations = 0    # test hook for the cache contract
 
     def _numeric_norm(self, region: BoundedRegion) -> float:
@@ -96,11 +105,47 @@ class Pdf:
                 raise ValueError(f"normalization must be positive and finite, got {value!r}")
             self._cache_key = key
             self._cache_value = value
+            self._log_partials = None
             self.norm_computations += 1
         return self._cache_value
 
+    def log_norm_partials(self) -> dict[int, float]:
+        """d ln norm / d theta for each shape parameter, keyed by ``id`` and
+        cached with the norm: in closed form when the normalizer has
+        ``log_partials``, else by central differences of the norm."""
+        norm = self.norm()
+        if self._log_partials is None:
+            closed = getattr(self._norm_fn, "log_partials", None)
+            self._log_partials = closed(self.region) if closed else self._numeric_log_partials(norm)
+        return self._log_partials
+
+    def _numeric_log_partials(self, norm: float) -> dict[int, float]:
+        out = {}
+        for p in self._params:
+            v, h = p.value, 1e-4 * (abs(p.value) or p.step)
+            try:
+                p.value = v + h    # unchecked: a step may cross a bound
+                up = float(self._norm_fn(self.region))
+                p.value = v - h
+                down = float(self._norm_fn(self.region))
+            finally:
+                p.value = v
+            out[id(p)] = (up - down) / (2.0 * h * norm)
+        return out
+
     def value(self, args: tuple) -> np.ndarray:
         return np.asarray(self.shape.eval(args), dtype=float) / self.norm()
+
+    def partials(self, args: tuple) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """``value(args)``, bitwise, and its partials over the shape
+        parameters: dshape/dtheta / norm - pdf * dln norm/dtheta."""
+        shape, partials = self.shape.partials(args)
+        norm = self.norm()
+        value = np.asarray(shape, dtype=float) / norm
+        out = {key: d / norm for key, d in partials.items()}
+        for key, dln in self.log_norm_partials().items():
+            out[key] = out[key] - value * dln if key in out else -value * dln
+        return value, out
 
 
 def make_pdf(
@@ -112,7 +157,8 @@ def make_pdf(
 
 
 def gaussian_norm(shape) -> Callable[[BoundedRegion], float]:
-    """Closed-form integral of the normalized Gaussian over an interval."""
+    """Closed-form integral of the normalized Gaussian over an interval;
+    its ``log_partials`` are the closed-form d ln norm / d(mean, sigma)."""
 
     def norm(region: BoundedRegion) -> float:
         lo, hi = region.bounds[0]
@@ -120,17 +166,34 @@ def gaussian_norm(shape) -> Callable[[BoundedRegion], float]:
         rt2 = math.sqrt(2.0)
         return 0.5 * (math.erf((hi - mu) / (s * rt2)) - math.erf((lo - mu) / (s * rt2)))
 
+    def log_partials(region: BoundedRegion) -> dict[int, float]:
+        lo, hi = region.bounds[0]
+        mu, s = shape.mean.value, shape.sigma.value
+        a, b = (lo - mu) / s, (hi - mu) / s
+        pa, pb = math.exp(-0.5 * a * a), math.exp(-0.5 * b * b)
+        scale = 1.0 / (math.sqrt(2.0 * math.pi) * s * norm(region))
+        return {id(shape.mean): (pa - pb) * scale, id(shape.sigma): (a * pa - b * pb) * scale}
+
+    norm.log_partials = log_partials
     return norm
 
 
 def exponential_norm(shape) -> Callable[[BoundedRegion], float]:
-    """Closed-form integral of exp(-x/tau) over an interval."""
+    """Closed-form integral of exp(-x/tau) over an interval; its
+    ``log_partials`` are the closed-form d ln norm / d tau."""
 
     def norm(region: BoundedRegion) -> float:
         lo, hi = region.bounds[0]
         tau = shape.tau.value
         return tau * (math.exp(-lo / tau) - math.exp(-hi / tau))
 
+    def log_partials(region: BoundedRegion) -> dict[int, float]:
+        lo, hi = region.bounds[0]
+        tau = shape.tau.value
+        el, eh = math.exp(-lo / tau), math.exp(-hi / tau)
+        return {id(shape.tau): (el * (1.0 + lo / tau) - eh * (1.0 + hi / tau)) / (tau * (el - eh))}
+
+    norm.log_partials = log_partials
     return norm
 
 
@@ -169,14 +232,18 @@ class ExtendedModel:
         return out
 
     def evaluate(self, args: tuple) -> tuple[list[np.ndarray], np.ndarray]:
-        """Each component's pdf_k(x) and the density sum_k N_k pdf_k(x), a
-        left fold in component order; norms come from the per-pdf cache."""
+        """Each component's pdf_k(x) and the density ``mixture`` of them;
+        norms come from the per-pdf cache."""
         pdfs = [pdf.value(args) for _, pdf in self.components]
+        return pdfs, self.mixture(pdfs)
+
+    def mixture(self, pdfs: Sequence[np.ndarray]) -> np.ndarray:
+        """sum_k N_k pdf_k, a left fold in component order."""
         total = None
         for (y, _), p in zip(self.components, pdfs):
             term = y.value * p
             total = term if total is None else total + term
-        return pdfs, total
+        return total
 
     def density(self, args: tuple) -> np.ndarray:
         """sum_k N_k pdf_k(x); norms come from the per-pdf cache."""
@@ -203,18 +270,22 @@ def _likelihood_pass(
     store: ColumnStore,
     observable_columns: Sequence[str],
     workers: int | None,
-    moments: bool = False,
+    params: Sequence[Parameter] = (),
+    outer: bool = False,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """One data-parallel pass over the store: the extended NLL and, when
-    ``moments`` is set, sum_e r and r^T r with r_k = pdf_k / density.
+    """One data-parallel pass over the store: the extended NLL, its
+    gradient over ``params`` and, with ``outer``, S^T S.
 
-    Each component's pdf is evaluated once per batch and the density is
-    ``ExtendedModel.evaluate``'s left fold, so the NLL is bitwise that of a
-    density-then-log pass.  A batch returns one row per chunk: the log sum,
-    then with moments sum r (k) and the flattened chunk r^T r (k^2), and
-    every total is the fixed-order ``fold`` of those rows.  A non-positive
-    or non-finite density makes a chunk's log sum non-finite; only then is
-    the first bad event of the batch located and named.
+    Each component's pdf is evaluated once per batch (with its partials
+    when a parameter of its shape is wanted) and the density is
+    ``ExtendedModel.mixture``'s left fold, so the NLL is bitwise that of a
+    density-then-log pass.  The score row of theta is
+    (sum_k [N_k is theta] pdf_k + N_k dpdf_k/dtheta) / density, exactly
+    r_k = pdf_k / density for the yield of one component.  A batch returns
+    one row per chunk: the log sum, the sum of each score row and the
+    flattened chunk S^T S; every total is the fixed-order ``fold`` of those
+    rows.  A non-positive or non-finite density makes a chunk's log sum
+    non-finite; only then is the first bad event of the batch named.
     """
     n = len(store)
     if n == 0:
@@ -224,31 +295,57 @@ def _likelihood_pass(
             f"model consumes {model.arity} observables, got {len(observable_columns)}"
         )
     cols = store.columns(observable_columns)
-    k = len(model.components)
-    for _, pdf in model.components:
+    q = len(params)
+    wanted = {id(p) for p in params}
+    yields = model.yields()
+    differentiate = [
+        bool(wanted & {id(p) for p in pdf.shape.leaf_params()}) for _, pdf in model.components
+    ]
+    for (_, pdf), d in zip(model.components, differentiate):
         pdf.norm()    # fill caches serially before the parallel section
+        if d:
+            pdf.log_norm_partials()
 
     def batch(a: int, b: int) -> np.ndarray:
-        pdfs, dens = model.evaluate(tuple(c[a:b] for c in cols))
+        args = tuple(c[a:b] for c in cols)
+        # a bad density is named below, not warned about on the way
         with np.errstate(divide="ignore", invalid="ignore"):
+            pdfs, partials = zip(*(
+                pdf.partials(args) if d else (pdf.value(args), {})
+                for (_, pdf), d in zip(model.components, differentiate)
+            ))
+            dens = model.mixture(pdfs)
             sums = chunk_sums(np.log(dens)[None, :])
         if not math.isfinite(sum(sums[:, 0].tolist())):
             check_density(dens, a)
-        if not moments:
+        if not q:
             return sums
-        r = np.empty((k, b - a))
-        for row, p in zip(r, pdfs):
-            np.divide(p, dens, out=row)
-        # r^T r stays one BLAS product per chunk: chunk_sums of the r_k r_j
-        # rows would round the exact yield Hessian block differently
-        rtr = [rc @ rc.T for rc in (r[:, s : s + CHUNK] for s in range(0, b - a, CHUNK))]
-        return np.hstack([sums, chunk_sums(r), np.reshape(rtr, (len(sums), k * k))])
+        s = np.zeros((q, b - a))
+        for row, p in zip(s, params):
+            num = None
+            for y, pk, dp in zip(yields, pdfs, partials):
+                if y is p:
+                    num = pk if num is None else num + pk
+                if id(p) in dp:
+                    term = y.value * dp[id(p)]
+                    num = term if num is None else num + term
+            if num is not None:
+                np.divide(num, dens, out=row)
+        parts = [sums, chunk_sums(s)]
+        if outer:
+            # one BLAS product per chunk: chunk_sums of the s_i s_j rows
+            # would round the exact yield block differently
+            sts = [sc @ sc.T for sc in (s[:, c : c + CHUNK] for c in range(0, b - a, CHUNK))]
+            parts.append(np.reshape(sts, (len(sums), q * q)))
+        return np.hstack(parts)
 
     totals = fold(run_batches(batch, n, workers))
     value = model.expected_total() - float(totals[0])
-    if not moments:
+    if not q:
         return value, None, None
-    return value, totals[1 : 1 + k], totals[1 + k :].reshape(k, k)
+    counts = [sum(y is p for y in yields) for p in params]
+    grad = np.array(counts, dtype=float) - totals[1 : 1 + q]
+    return value, grad, totals[1 + q :].reshape(q, q) if outer else None
 
 
 def nll(
@@ -266,7 +363,23 @@ def nll(
 
 
 # ---------------------------------------------------------------------------
-# bound transforms and the simplex minimizer
+# bound transforms and the variable-metric minimizer
+
+EDM_TOLERANCE = 1e-6
+"""Default bound on the estimated distance to minimum, in objective units."""
+
+_EPS = np.finfo(float).eps
+
+# a value-only gradient differences over this fraction of a parameter's
+# internal step
+_GRADIENT_STEP = 1e-4
+
+_LINE_SEARCH_TRIALS = 30
+
+Gradient = Callable[[ParamSet, bool], tuple[float, np.ndarray, np.ndarray | None]]
+"""``gradient(params, hessian)``: the objective, its gradient over
+``params.free()`` and, when ``hessian`` is set, a Hessian estimate or None."""
+
 
 class _Transform:
     """Map an unconstrained internal coordinate onto the parameter range."""
@@ -295,27 +408,56 @@ class _Transform:
             return math.sqrt(max((hi - v + 1.0) ** 2 - 1.0, 0.0))
         return v
 
+    def derivative(self, z: float) -> float:
+        """d external / d internal at z."""
+        lo, hi = self.lower, self.upper
+        if lo is not None and hi is not None:
+            return (hi - lo) * math.cos(z) / 2.0
+        if lo is not None:
+            return z / math.sqrt(z * z + 1.0)
+        if hi is not None:
+            return -z / math.sqrt(z * z + 1.0)
+        return 1.0
+
     def internal_step(self, z0: float, step: float) -> float:
-        eps = 1e-3
-        d = (self.external(z0 + eps) - self.external(z0 - eps)) / (2.0 * eps)
+        d = self.derivative(z0)
         if abs(d) > 1e-12:
             return step / abs(d)
         return math.sqrt(2.0 * step)
+
+
+def _inverse_metric(hess: np.ndarray) -> np.ndarray:
+    """hess^-1 when positive definite; otherwise the inverse of its
+    diagonal, with unit metric along a direction without positive
+    curvature."""
+    try:
+        np.linalg.cholesky(hess)
+        return np.linalg.inv(hess)
+    except np.linalg.LinAlgError:
+        return np.diag([1.0 / d if d > 0 else 1.0 for d in np.diag(hess)])
 
 
 def minimize(
     objective: Callable[[ParamSet], float],
     params: ParamSet,
     max_iterations: int = 2000,
-    tolerance: float = 1e-8,
+    tolerance: float = EDM_TOLERANCE,
     compute_errors: bool = True,
+    gradient: Gradient | None = None,
 ) -> FitResult:
-    """Nelder-Mead over the free parameters of ``params``.
+    """BFGS over the free parameters of ``params`` in internal coordinates.
 
-    Converges when the simplex function-value spread falls below
-    ``tolerance * (1 + |best|)``.  On convergence (and a positive definite
-    Hessian) per-parameter 1-sigma errors come from the inverse numeric
-    Hessian in external coordinates.  Fixed parameters never move.
+    With ``gradient`` the objective is not called; without, gradients are
+    central differences of ``objective``.  The inverse metric B starts as
+    the inverse of the first Hessian estimate or, lacking one, of the
+    central second differences over each ``Parameter.step`` (MIGRAD's
+    seed); a direction whose second difference is lost in rounding gets
+    unit metric, so a tiny step cannot fake a small EDM.  Each iteration is
+    a backtracking line search along -B g and a BFGS update.  Converged
+    when EDM = g^T B g / 2 < ``tolerance``; MaxIterations after
+    ``max_iterations`` iterations, or when no step decreases the objective.
+    ``n_calls`` counts objective or ``gradient`` calls.  Errors, on
+    convergence, come from ``numeric_errors``.  Fixed parameters never move.
     """
     free = params.free()
     calls = 0
@@ -330,76 +472,98 @@ def minimize(
         return FitResult(params, {}, value, FitStatus.CONVERGED, calls)
 
     transforms = [_Transform(p) for p in free]
-    x0 = np.array([t.internal(p.value) for t, p in zip(transforms, free)])
+    x = np.array([t.internal(p.value) for t, p in zip(transforms, free)])
+    steps = [t.internal_step(z, p.step) for t, p, z in zip(transforms, free, x)]
 
     def set_point(x: np.ndarray) -> None:
         for p, t, z in zip(free, transforms, x):
             p.set(t.external(float(z)))
 
-    def f(x: np.ndarray) -> float:
-        set_point(x)
+    def shifted(x: np.ndarray, i: int, h: float) -> float:
+        y = x.copy()
+        y[i] += h
+        set_point(y)
         return evaluate()
 
-    ndim = len(free)
-    simplex = [x0]
-    for i, (t, p) in enumerate(zip(transforms, free)):
-        v = x0.copy()
-        v[i] += t.internal_step(x0[i], p.step)
-        simplex.append(v)
-    values = [f(x) for x in simplex]
+    def curvature(x: np.ndarray, f0: float, i: int) -> float:
+        h = steps[i]
+        second = shifted(x, i, h) - 2.0 * f0 + shifted(x, i, -h)
+        return second / (h * h) if second > 8.0 * _EPS * (1.0 + abs(f0)) else 0.0
 
+    def at(x: np.ndarray, hessian: bool = False):
+        """Objective, internal gradient and (with ``hessian``) internal
+        Hessian estimate at x."""
+        nonlocal calls
+        set_point(x)
+        hess = None
+        if gradient is None:
+            f = evaluate()
+            g = np.array([
+                (shifted(x, i, h) - shifted(x, i, -h)) / (2.0 * h)
+                for i, h in enumerate(_GRADIENT_STEP * s for s in steps)
+            ])
+        else:
+            calls += 1
+            f, g, hess = gradient(params, hessian)
+            jac = np.array([t.derivative(z) for t, z in zip(transforms, x)])
+            g = np.asarray(g, dtype=float) * jac
+            if hess is not None:
+                hess = np.asarray(hess, dtype=float) * np.outer(jac, jac)
+        if hessian and hess is None:
+            hess = np.diag([curvature(x, f, i) for i in range(len(x))])
+        set_point(x)
+        return float(f), g, hess
+
+    f, g, hess = at(x, hessian=True)
+    seed = metric = _inverse_metric(hess)
     status = FitStatus.MAX_ITERATIONS
-    for _ in range(max_iterations):
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if values[-1] - values[0] <= tolerance * (1.0 + abs(values[0])):
+    for iteration in range(max_iterations + 1):
+        if 0.5 * g @ metric @ g < tolerance:
             status = FitStatus.CONVERGED
             break
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + (centroid - simplex[-1])
-        fr = f(xr)
-        if fr < values[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = f(xe)
-            if fe < fr:
-                simplex[-1], values[-1] = xe, fe
-            else:
-                simplex[-1], values[-1] = xr, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = xr, fr
+        if iteration == max_iterations:
+            break
+        direction = -metric @ g
+        slope = g @ direction
+        if not slope < 0:    # rounding broke the metric: restart from the seed
+            metric = seed
+            direction = -metric @ g
+            slope = g @ direction
+        alpha = 1.0
+        for _ in range(_LINE_SEARCH_TRIALS):
+            try:
+                f1, g1, _ = at(x + alpha * direction)
+            except ValueError:    # the trial point left the model's domain
+                f1 = math.inf
+            if f1 <= f + 1e-4 * alpha * slope:
+                break
+            # minimum of the parabola through f, slope and f1, within [0.1, 0.5]
+            ratio = -slope * alpha / (2.0 * (f1 - f - slope * alpha))
+            alpha *= min(0.5, max(0.1, ratio))
         else:
-            if fr < values[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid - 0.5 * (centroid - simplex[-1])
-            fc = f(xc)
-            if fc < min(fr, values[-1]):
-                simplex[-1], values[-1] = xc, fc
-            else:
-                best = simplex[0]
-                for i in range(1, ndim + 1):
-                    simplex[i] = best + 0.5 * (simplex[i] - best)
-                    values[i] = f(simplex[i])
-
-    order = np.argsort(values, kind="stable")
-    best_x = simplex[order[0]]
-    nll_min = values[order[0]]
-    set_point(best_x)
+            break
+        s = alpha * direction
+        y = g1 - g
+        sy = s @ y
+        if sy > _EPS * math.sqrt((s @ s) * (y @ y)):
+            v = np.eye(len(x)) - np.outer(s, y) / sy
+            metric = v @ metric @ v.T + np.outer(s, s) / sy
+        x, f, g = x + s, f1, g1
+    set_point(x)
 
     errors: dict[str, float] | None = None
     if compute_errors and status is FitStatus.CONVERGED:
-        errors = numeric_errors(objective, params)
+        errors = numeric_errors(objective, params, gradient)
         if errors is None:
             status = FitStatus.HESSIAN_NOT_POS_DEF
-    return FitResult(params, errors, nll_min, status, calls)
+    return FitResult(params, errors, f, status, calls)
 
 
 def numeric_errors(
     objective: Callable[[ParamSet], float],
     params: ParamSet,
-    yield_derivatives: Callable[[ParamSet], tuple[float, dict[str, float], np.ndarray]]
-    | None = None,
+    gradient: Gradient | None = None,
+    exact: Sequence[str] = (),
 ) -> dict[str, float] | None:
     """1-sigma uncertainties from the inverse Hessian of an NLL-type
     objective at the current parameter values.  Each free parameter steps
@@ -407,19 +571,13 @@ def numeric_errors(
     Returns None when a parameter sits on a bound (h = 0) or the Hessian is
     not positive definite.
 
-    ``yield_derivatives(params)``, when given, returns the objective, its
-    gradient with respect to some free parameters (a dict by name; call
-    them yields) and the Hessian block of those parameters, ordered as the
-    dict.  That block is then exact, and each yield-shape entry is the
-    central difference of the yield gradient over a shape step, taken from
-    the two passes that give the shape's diagonal.  Every other parameter
-    (a shape) has the central-difference diagonal
-    [f(+i) - 2 f0 + f(-i)] / h_i^2, and each shape pair reuses it:
-
-        H_ij = [f(+i+j) - f(+i) - f(+j) + 2 f0 - f(-i) - f(-j) + f(-i-j)]
-               / (2 h_i h_j)
-
-    so s shapes and any number of yields take 1 + 2s + s(s-1) passes.
+    ``gradient`` is ``minimize``'s; without it the gradient is the central
+    difference of ``objective`` over the same steps.  The Hessian block of
+    the parameters named in ``exact`` is the estimate ``gradient`` returns
+    at the centre; every other column is the central difference of the
+    gradient over its parameter's step, and a pair of such parameters gets
+    the mean of its two differences.  So s differenced parameters take 2s
+    gradient evaluations, plus one at the centre when ``exact`` names any.
     """
     free = params.free()
     if not free:
@@ -436,47 +594,39 @@ def numeric_errors(
             return None
         steps.append(h)
 
-    def at(offsets: dict[int, float], derivatives: bool = False):
-        for i, p in enumerate(free):
-            p.set(center[i] + offsets.get(i, 0.0))
-        if derivatives and yield_derivatives is not None:
-            f, grad, block = yield_derivatives(params)
-        else:
-            f, grad, block = objective(params), {}, None
-        for i, p in enumerate(free):
-            p.set(center[i])
-        return float(f), grad, block
+    if gradient is None:
+        def gradient(ps: ParamSet, hessian: bool):
+            g = np.empty(len(free))
+            for j, (p, h) in enumerate(zip(free, steps)):
+                v = p.value
+                p.set(v + h)
+                up = objective(ps)
+                p.set(v - h)
+                down = objective(ps)
+                p.set(v)
+                g[j] = (up - down) / (2.0 * h)
+            return None, g, None
+
+    def gradient_at(i: int, offset: float) -> np.ndarray:
+        free[i].set(center[i] + offset)
+        try:
+            return np.asarray(gradient(params, False)[1], dtype=float)
+        finally:
+            free[i].set(center[i])
 
     n = len(free)
     hess = np.empty((n, n))
-    f0, grad0, block = at({}, derivatives=True)
-    yields = [i for i, p in enumerate(free) if p.name in grad0]
-    shapes = [i for i in range(n) if i not in yields]
-    if yields:
-        rows = [list(grad0).index(free[i].name) for i in yields]
-        hess[np.ix_(yields, yields)] = np.asarray(block)[np.ix_(rows, rows)]
-    plus, minus = {}, {}
-    for i in shapes:
-        hi = steps[i]
-        plus[i], g_up, _ = at({i: hi}, derivatives=True)
-        minus[i], g_down, _ = at({i: -hi}, derivatives=True)
-        hess[i, i] = (plus[i] - 2.0 * f0 + minus[i]) / (hi * hi)
-        for j in yields:
-            name = free[j].name
-            hess[i, j] = hess[j, i] = (g_up[name] - g_down[name]) / (2.0 * hi)
-    for a, i in enumerate(shapes):
-        hi = steps[i]
-        for j in shapes[a + 1 :]:
-            hj = steps[j]
-            hess[i, j] = hess[j, i] = (
-                at({i: hi, j: hj})[0]
-                - plus[i]
-                - plus[j]
-                + 2.0 * f0
-                - minus[i]
-                - minus[j]
-                + at({i: -hi, j: -hj})[0]
-            ) / (2.0 * hi * hj)
+    given = [i for i, p in enumerate(free) if p.name in exact]
+    if given:
+        hess[np.ix_(given, given)] = np.asarray(gradient(params, True)[2])[np.ix_(given, given)]
+    differenced = [i for i in range(n) if i not in given]
+    cols = np.empty((n, len(differenced)))
+    for c, i in enumerate(differenced):
+        cols[:, c] = (gradient_at(i, steps[i]) - gradient_at(i, -steps[i])) / (2.0 * steps[i])
+    hess[:, differenced] = cols
+    hess[differenced, :] = cols.T
+    block = cols[differenced]
+    hess[np.ix_(differenced, differenced)] = 0.5 * (block + block.T)
     try:
         np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
@@ -491,18 +641,6 @@ def numeric_errors(
 # ---------------------------------------------------------------------------
 # full fit with yield refinement
 
-def _yield_stationarity(
-    model: ExtendedModel,
-    store: ColumnStore,
-    observable_columns: Sequence[str],
-    workers: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals g_k = sum_e pdf_k/density - 1 and the matrix
-    A_kj = sum_e pdf_k pdf_j / density^2 at the current parameters."""
-    _, sum_r, rtr = _likelihood_pass(model, store, observable_columns, workers, moments=True)
-    return sum_r - 1.0, rtr
-
-
 def _polish_yields(
     model: ExtendedModel,
     store: ColumnStore,
@@ -512,30 +650,29 @@ def _polish_yields(
     max_iter: int = 40,
 ) -> None:
     """Newton-refine the free yields to the exact stationary point of the
-    extended NLL (shape parameters held where the simplex left them).
+    extended NLL (shape parameters held where the minimizer left them).
 
     The sWeights identities and the extended-ML yield-sum identity hold
-    only at this stationary point, far beyond simplex accuracy.
+    only at this stationary point, beyond what the EDM bound asks.
     """
-    free_idx = [i for i, (y, _) in enumerate(model.components) if not y.fixed]
-    if not free_idx:
+    free = [y for y in model.yields() if not y.fixed]
+    if not free:
         return
     last = math.inf
     for _ in range(max_iter):
-        g, amat = _yield_stationarity(model, store, observable_columns, workers)
-        gf = g[free_idx]
-        worst = float(np.max(np.abs(gf)))
+        _, grad, hess = _likelihood_pass(
+            model, store, observable_columns, workers, free, outer=True
+        )
+        worst = float(np.max(np.abs(grad)))
         if worst < tol or worst >= last:
             break
         last = worst
-        sub = amat[np.ix_(free_idx, free_idx)]
         try:
-            delta = np.linalg.solve(sub, gf)
+            delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             break
-        for i, di in zip(free_idx, delta):
-            y = model.components[i][0]
-            new = y.value + float(di)
+        for y, d in zip(free, delta):
+            new = y.value - float(d)
             if y.lower is not None:
                 new = max(new, y.lower)
             if y.upper is not None:
@@ -549,26 +686,32 @@ def fit(
     observable_columns: Sequence[str],
     workers: int | None = 1,
     max_iterations: int = 2000,
-    tolerance: float = 1e-8,
+    tolerance: float = EDM_TOLERANCE,
     polish_yields: bool = True,
 ) -> FitResult:
     """Extended maximum-likelihood fit of yields and shape parameters.
 
-    After the simplex converges the free yields are Newton-polished onto
-    their exact stationary point, then uncertainties are computed at the
-    final parameters, with the yield Hessian block taken exactly from the
-    likelihood pass.
+    ``minimize`` runs on the likelihood pass's exact gradient, its metric
+    seeded with the first pass's S^T S.  After it converges the free yields
+    are Newton-polished onto their exact stationary point, then
+    uncertainties are computed at the final parameters, with the yield
+    Hessian block taken exactly from the likelihood pass.
     """
     params = model.param_set()
+    free = params.free()
 
     def objective(ps: ParamSet) -> float:
         return nll(model, store, observable_columns, workers=workers)
+
+    def gradient(ps: ParamSet, hessian: bool):
+        return _likelihood_pass(model, store, observable_columns, workers, free, outer=hessian)
 
     result = minimize(
         objective, params,
         max_iterations=max_iterations,
         tolerance=tolerance,
         compute_errors=False,
+        gradient=gradient,
     )
     if result.status is FitStatus.CONVERGED and polish_yields:
         _polish_yields(model, store, observable_columns, workers)
@@ -579,21 +722,14 @@ def fit(
     shape_ids = {id(p) for _, pdf in model.components for p in pdf.shape.leaf_params()}
     uses = [id(y) for y in model.yields()]
     exact = [
-        k for k, y in enumerate(model.yields())
+        y.name for y in model.yields()
         if not y.fixed and id(y) not in shape_ids and uses.count(id(y)) == 1
     ]
-
-    def yield_derivatives(ps: ParamSet) -> tuple[float, dict[str, float], np.ndarray]:
-        f, sum_r, rtr = _likelihood_pass(
-            model, store, observable_columns, workers, moments=True
-        )
-        grad = {model.components[k][0].name: 1.0 - float(sum_r[k]) for k in exact}
-        return f, grad, rtr[np.ix_(exact, exact)]
 
     errors: dict[str, float] | None = None
     status = result.status
     if status is FitStatus.CONVERGED:
-        errors = numeric_errors(objective, params, yield_derivatives if exact else None)
+        errors = numeric_errors(objective, params, gradient, exact)
         if errors is None:
             status = FitStatus.HESSIAN_NOT_POS_DEF
     return FitResult(params, errors, nll_min, status, result.n_calls)

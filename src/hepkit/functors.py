@@ -10,10 +10,20 @@ that leaf.
 Evaluation is vectorized: ``eval`` receives a tuple with one float64 array
 (or scalar) per argument and applies numpy ufuncs, so a user closure must
 be written with numpy-compatible operations.
+
+``partials`` is forward-mode differentiation on the same tree: a node
+returns its value, bitwise that of ``eval``, and its partial derivatives
+with respect to the leaf parameters it depends on, keyed by
+``id(parameter)``.  Arguments may carry partials of their own (tangents),
+which is how a composition applies the chain rule.  The Gaussian and
+exponential leaves are analytic, operators apply the sum, product and
+quotient rules, and a closure, whose body is opaque, falls back to
+central differences.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -24,6 +34,23 @@ from .parallel import EVAL_BATCH, run_batches
 from .store import ColumnStore
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# relative step of a closure's central differences: truncation error
+# ~h^2 and rounding ~eps/h balance near 1e-5
+_CLOSURE_STEP = 1e-5
+
+Partials = dict[int, np.ndarray]
+"""Partial derivatives keyed by ``id`` of the parameter."""
+
+
+def _accumulate(out: Partials, key: int, term) -> None:
+    out[key] = out[key] + term if key in out else term
+
+
+def _chain(out: Partials, dfdx, tangent: Partials) -> None:
+    """Add df/dx * dx/dp for every parameter p the argument x depends on."""
+    for key, dx in tangent.items():
+        _accumulate(out, key, dfdx * dx)
 
 
 class EvaluationError(ValueError):
@@ -84,6 +111,13 @@ class FunctorExpr:
     def eval(self, args: tuple):
         raise NotImplementedError
 
+    def partials(self, args: tuple, tangents: tuple[Partials, ...] | None = None):
+        """``(eval(args), partials)``: the value, bitwise, and its partial
+        derivatives with respect to each leaf parameter it depends on,
+        keyed by ``id(parameter)``.  ``tangents`` holds one such dict per
+        argument, the arguments' own partials; None means plain data."""
+        raise NotImplementedError
+
     def __call__(self, *point):
         if len(point) != self.arity:
             raise EvaluationError(
@@ -134,13 +168,25 @@ class GaussianShape(FunctorExpr):
         self.mean = mean
         self.sigma = sigma
 
-    def eval(self, args):
+    def _terms(self, x):
         s = self.sigma.value
         if not s > 0:
             raise EvaluationError(f"sigma must be positive, got {s}")
-        x = args[0]
         z = (x - self.mean.value) / s
-        return np.exp(-0.5 * z * z) / (s * _SQRT_2PI)
+        return s, z, np.exp(-0.5 * z * z) / (s * _SQRT_2PI)
+
+    def eval(self, args):
+        return self._terms(args[0])[2]
+
+    def partials(self, args, tangents=None):
+        s, z, f = self._terms(args[0])
+        dmean = f * z / s    # also -df/dx
+        out: Partials = {}
+        _accumulate(out, id(self.mean), dmean)
+        _accumulate(out, id(self.sigma), dmean * z - f / s)
+        if tangents:
+            _chain(out, -dmean, tangents[0])
+        return f, out
 
     def _collect_params(self):
         return (self.mean, self.sigma)
@@ -160,6 +206,14 @@ class ExponentialShape(FunctorExpr):
             raise EvaluationError("tau must be non-zero")
         return np.exp(-np.asarray(args[0], dtype=float) / t)
 
+    def partials(self, args, tangents=None):
+        f = self.eval(args)
+        t = self.tau.value
+        out: Partials = {id(self.tau): f * np.asarray(args[0], dtype=float) / (t * t)}
+        if tangents:
+            _chain(out, -f / t, tangents[0])
+        return f, out
+
     def _collect_params(self):
         return (self.tau,)
 
@@ -174,6 +228,30 @@ class Closure(FunctorExpr):
 
     def eval(self, args):
         return self.fn(args, self.params)
+
+    def partials(self, args, tangents=None):
+        """Central differences: each parameter steps in a copy of the
+        parameter set, so concurrent evaluations never see a shifted value;
+        each argument with a tangent steps in a copy of the point."""
+        value = self.eval(args)
+        out: Partials = {}
+        for i, p in enumerate(self.params):
+            h = _CLOSURE_STEP * (1.0 + abs(p.value))
+            shifted = []
+            for sign in (1.0, -1.0):
+                q = copy.copy(p)
+                q.value = p.value + sign * h    # unchecked: a step may cross a bound
+                ps = ParamSet(q if j == i else r for j, r in enumerate(self.params))
+                shifted.append(np.asarray(self.fn(args, ps), dtype=float))
+            _accumulate(out, id(p), (shifted[0] - shifted[1]) / (2.0 * h))
+        for j, tangent in enumerate(tangents or ()):
+            if tangent:
+                x = np.asarray(args[j], dtype=float)
+                h = _CLOSURE_STEP * (1.0 + np.abs(x))
+                up = self.fn(args[:j] + (x + h,) + args[j + 1 :], self.params)
+                down = self.fn(args[:j] + (x - h,) + args[j + 1 :], self.params)
+                _chain(out, (np.asarray(up) - np.asarray(down)) / (2.0 * h), tangent)
+        return value, out
 
     def _collect_params(self):
         return tuple(self.params)
@@ -194,9 +272,7 @@ class _BinaryOp(FunctorExpr):
         self.right = right
         self.arity = left.arity
 
-    def eval(self, args):
-        a = self.left.eval(args)
-        b = self.right.eval(args)
+    def _apply(self, a, b, args):
         if self.op == "/":
             zero = np.asarray(b) == 0
             if np.any(zero):
@@ -206,6 +282,27 @@ class _BinaryOp(FunctorExpr):
                 )
                 raise EvaluationError(f"division by zero at point {point}")
         return self._ops[self.op](a, b)
+
+    def eval(self, args):
+        return self._apply(self.left.eval(args), self.right.eval(args), args)
+
+    def partials(self, args, tangents=None):
+        a, da = self.left.partials(args, tangents)
+        b, db = self.right.partials(args, tangents)
+        value = self._apply(a, b, args)
+        out: Partials = {}
+        if self.op == "+":
+            terms = [*da.items(), *db.items()]
+        elif self.op == "-":
+            terms = [*da.items(), *((k, -d) for k, d in db.items())]
+        elif self.op == "*":
+            terms = [*((k, d * b) for k, d in da.items()), *((k, a * d) for k, d in db.items())]
+        else:    # d(a/b) = (da - (a/b) db) / b
+            terms = [*((k, d / b) for k, d in da.items()),
+                     *((k, -value * d / b) for k, d in db.items())]
+        for key, term in terms:
+            _accumulate(out, key, term)
+        return value, out
 
     def _collect_params(self):
         yield from self.left._collect_params()
@@ -230,6 +327,11 @@ class Composition(FunctorExpr):
     def eval(self, args):
         return self.outer.eval(tuple(f.eval(args) for f in self.inners))
 
+    def partials(self, args, tangents=None):
+        # the inners' partials are the tangents of the outer's arguments
+        values, inner = zip(*(f.partials(args, tangents) for f in self.inners))
+        return self.outer.partials(values, inner)
+
     def _collect_params(self):
         yield from self.outer._collect_params()
         for f in self.inners:
@@ -247,6 +349,9 @@ class Coordinate(FunctorExpr):
 
     def eval(self, args):
         return np.asarray(args[self.index], dtype=float) + 0.0
+
+    def partials(self, args, tangents=None):
+        return self.eval(args), dict(tangents[self.index]) if tangents else {}
 
 
 def shape_gaussian(mean: Parameter, sigma: Parameter) -> FunctorExpr:

@@ -71,8 +71,10 @@ class FourVector:
 class Parameter:
     """Named fit parameter with optional bounds.
 
-    ``step`` seeds the initial simplex of the minimizer and must be
-    positive.  When both bounds are present the value must stay inside.
+    ``step`` is the parameter's scale when ``minimize`` works from values
+    alone: the step of the second differences that seed its metric, and
+    of its gradient differences scaled down.  It must be positive.  When
+    both bounds are present the value must stay inside.
     """
 
     name: str

@@ -9,13 +9,13 @@ and the per-event weight for species n is
 
     sw_n(e) = sum_j V_nj pdf_j(x_e) / sum_k N_k pdf_k(x_e).
 
-V^-1 is the r^T r moment (r_k = pdf_k / density) of the fit's own
-likelihood pass, which in the same pass gives sum_e r, the stationarity
-residual of the yields.  The weights take the pdf values and the density
-from ``ExtendedModel.evaluate``, the pass's left fold.  At the extended-ML
-optimum the weights of each event sum to one and the per-species weight
-sums reproduce the fitted yields.  Matrix and table are bitwise identical
-for any worker count.
+V^-1 is the S^T S of the fit's own likelihood pass over the yields,
+whose score rows are r_k = pdf_k / density; the same pass gives the yield
+gradient 1 - sum_e r, the stationarity residual.  The weights take the
+pdf values and the density from ``ExtendedModel.evaluate``, the pass's
+left fold.  At the extended-ML optimum the weights of each event sum to
+one and the per-species weight sums reproduce the fitted yields.  Matrix
+and table are bitwise identical for any worker count.
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ def splot_matrix(
     Raises when the accumulated matrix is numerically singular (degenerate
     species) or when the yields are not at their extended-ML optimum.
     """
-    _, station, vinv = _likelihood_pass(model, store, observable_columns, workers, moments=True)
-    residual = np.max(np.abs(station - 1.0))
+    _, grad, vinv = _likelihood_pass(
+        model, store, observable_columns, workers, model.yields(), outer=True
+    )
+    residual = np.max(np.abs(grad))
     if residual > _STATIONARITY_TOL:
         raise ValueError(
             f"yields are not at the extended-ML optimum "

@@ -229,16 +229,25 @@ def test_criterion_3_pull_calibration():
             pulls[name].append((ps[name].value - truth[name]) / result.errors[name])
 
     checks = [(f"failed fits {failed_fits} <= 2", failed_fits <= 2)]
-    # over ~200 toys the pull mean has sd 1/sqrt(200) = 0.071, so 0.15 is a
-    # 2.1 sigma bound; the width has sd 1/sqrt(2 * 199) = 0.050, so +-0.15 is
-    # about 3 sigma
+    # Calibrated pulls are N(0, 1): the mean of n is N(0, 1/n) and
+    # (n - 1) s^2 is chi2(n - 1).  Each of the ten two-sided bounds fails a
+    # calibrated fit with probability alpha = 1e-4, so the family-wise
+    # false-failure rate is <= 1e-3 by the union bound, which holds for the
+    # correlated pulls of one toy.  At n = 200 the bounds are |mean| < 0.275
+    # and width in [0.810, 1.199]; a parameter's check fails with
+    # probability 0.96 when its pulls are biased by 0.4 and 0.94 when its
+    # errors are 30% too small (pull width 1.3).
+    alpha = 1e-4
     for name, vals in pulls.items():
         arr = np.asarray(vals)
-        m, w = float(np.mean(arr)), float(np.std(arr, ddof=1))
-        checks.append((f"{name}: pull mean {m:+.3f}, |mean| < 0.15 "
-                       f"(false-failure rate 3.4%, ~15% over five)", abs(m) < 0.15))
-        checks.append((f"{name}: pull width {w:.3f} in [0.85, 1.15] "
-                       f"(false-failure rate 0.3%, ~1.4% over five)", 0.85 <= w <= 1.15))
+        n, m, w = len(arr), float(np.mean(arr)), float(np.std(arr, ddof=1))
+        mean_bound = scipy.stats.norm.isf(alpha / 2) / math.sqrt(n)
+        lo, hi = (math.sqrt(scipy.stats.chi2.isf(q, n - 1) / (n - 1))
+                  for q in (1 - alpha / 2, alpha / 2))
+        checks.append((f"{name}: pull mean {m:+.3f}, |mean| < {mean_bound:.3f} "
+                       f"(false-failure rate {alpha:g})", abs(m) < mean_bound))
+        checks.append((f"{name}: pull width {w:.3f} in [{lo:.3f}, {hi:.3f}] "
+                       f"(false-failure rate {alpha:g}); 1e-3 over all ten", lo <= w <= hi))
     _report(f"criterion 3 ({n_toys} toys x 1e4 events)", checks)
 
 

@@ -1,11 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import hepkit as hk
 from hepkit import fitting
-from hepkit.fitting import FitStatus, _yield_stationarity, generate_model_sample, numeric_errors
+from hepkit.fitting import FitStatus, _likelihood_pass, generate_model_sample, numeric_errors
 from hepkit.parallel import CHUNK, EVAL_BATCH, run_batches
 from toymodel import build_model, RANGE, TRUTH
 
@@ -158,8 +159,7 @@ class TestMinimize:
         assert res.errors["a"] == pytest.approx(0.7071067811865475, rel=1e-4)
 
     def test_interior_optimum_unaffected_by_bounds(self):
-        # both runs land within the simplex tolerance of the same argmin
-        # (function spread 1e-8 of a unit quadratic allows ~1e-4 in a)
+        # both runs land within the EDM tolerance of the same argmin
         objective = lambda ps: (ps["a"].value - 1.5) ** 2 + 0.7
         free = hk.Parameter("a", 0.2, step=0.3)
         res_free = hk.minimize(objective, hk.ParamSet([free]))
@@ -186,14 +186,24 @@ class TestMinimize:
 
     def test_constant_shift_invariance(self):
         # adding an exactly representable constant shifts nll_min by exactly
-        # that constant and leaves the trajectory untouched
+        # that constant and leaves the trajectory, which follows the
+        # analytic gradient and Hessian, untouched
         shift = 4.0
         base = lambda ps: (ps["a"].value - 2.0) ** 4 + (ps["a"].value + 1.0) ** 2
 
+        def derivatives(objective):
+            def gradient(ps, hessian):
+                a = ps["a"].value
+                hess = np.array([[12.0 * (a - 2.0) ** 2 + 2.0]]) if hessian else None
+                return objective(ps), np.array([4.0 * (a - 2.0) ** 3 + 2.0 * (a + 1.0)]), hess
+            return gradient
+
+        shifted = lambda ps: base(ps) + shift
         a1 = hk.Parameter("a", 0.3, step=0.4)
-        r1 = hk.minimize(base, hk.ParamSet([a1]))
+        r1 = hk.minimize(base, hk.ParamSet([a1]), gradient=derivatives(base))
         a2 = hk.Parameter("a", 0.3, step=0.4)
-        r2 = hk.minimize(lambda ps: base(ps) + shift, hk.ParamSet([a2]))
+        r2 = hk.minimize(shifted, hk.ParamSet([a2]), gradient=derivatives(shifted))
+        assert r1.status is FitStatus.CONVERGED
         assert a2.value == a1.value
         assert r2.nll_min == r1.nll_min + shift
 
@@ -238,7 +248,7 @@ class TestNumericErrors:
         assert numeric_errors(lambda ps: -ps["x"].value ** 2, params) is None
 
     def test_exact_yield_block(self):
-        # x, y, z differenced; n has its exact gradient and block
+        # x, y, z differenced from the exact gradient; n has its exact block
         H = np.array([
             [2.0, 0.6, 0.3, 0.5],
             [0.6, 1.0, 0.2, -0.4],
@@ -254,18 +264,21 @@ class TestNumericErrors:
             v = np.array([ps[name].value for name in names])
             return 0.5 * float(v @ H @ v)
 
-        def derivatives(ps):
-            passes.append("d")
+        def gradient(ps, hessian):
+            passes.append("h" if hessian else "g")
             v = np.array([ps[name].value for name in names])
-            return 0.5 * float(v @ H @ v), {"n": float(H[3] @ v)}, H[3:, 3:]
+            # a wrong estimate off the n block, which must not be used
+            estimate = np.where(np.eye(4) == 1, H, 0.0) if hessian else None
+            return 0.5 * float(v @ H @ v), H @ v, estimate
 
-        errors = numeric_errors(obj, params, derivatives)
+        errors = numeric_errors(obj, params, gradient, exact=("n",))
         cov = np.linalg.inv(H)
         for i, name in enumerate(names):
             assert errors[name] == pytest.approx(math.sqrt(cov[i, i]), rel=1e-6)
-        # centre, two per shape diagonal, two per shape pair
-        assert passes.count("d") == 1 + 2 * 3
-        assert passes.count("f") == 2 * 3
+        # the centre for the exact block, two per differenced column
+        assert passes.count("h") == 1
+        assert passes.count("g") == 2 * 3
+        assert passes.count("f") == 0
 
     def test_yield_on_bound_returns_none_without_passes(self):
         params = hk.ParamSet([hk.Parameter("x", 1.0), hk.Parameter("n", 0.0, lower=0.0)])
@@ -273,7 +286,7 @@ class TestNumericErrors:
         def never(ps):
             raise AssertionError("no pass expected")
 
-        assert numeric_errors(never, params, never) is None
+        assert numeric_errors(never, params, never, exact=("n",)) is None
 
 
 class TestFit:
@@ -306,12 +319,10 @@ class TestFit:
         assert res.nll_min == pytest.approx(hk.nll(model, data, ["x0"]), rel=1e-12)
 
     def test_yield_stationarity_after_fit(self):
-        from hepkit.fitting import _yield_stationarity
-
         model = build_model(scale=0.1)
         data = generate_model_sample(model, hk.RngKey(63, 2))
         hk.fit(model, data, ["x0"])
-        g, _ = _yield_stationarity(model, data, ["x0"], workers=1)
+        _, g, _ = _likelihood_pass(model, data, ["x0"], 1, model.yields())
         assert np.max(np.abs(g)) < 1e-10
 
     def test_fixed_shape_fit_only_yields(self):
@@ -388,34 +399,39 @@ def _start_model(scale=0.2):
     return build_model(scale=scale, mean=4.7, sigma=0.6, tau=2.6)
 
 
-# Fits of three samples recorded as hex floats at commit 80d8e93, whose
-# Hessian differenced every pair of parameters.  The simplex sees the same
-# NLL values, so shapes, call counts and status are bitwise those; the
-# yields move in the last digits because the Newton polish now takes the
-# density from the NLL's fold, and the errors by up to ~1e-6 because the
-# yield block is exact.
+# Fits of three samples recorded as hex floats: BFGS on the likelihood
+# pass's exact gradient, stopped at EDM < 1e-6, then the yield polish and
+# errors from the exact yield block and gradient differences.  n_calls
+# counts the minimizer's gradient passes.
 GOLDEN = {
-    11: ({"n_sig": "0x1.f04bed3ce727bp+11", "mean": "0x1.40cf458cefc3fp+2",
-          "sigma": "0x1.f37029eefd614p-2", "n_bkg": "0x1.78da09618be01p+12",
-          "tau": "0x1.7b723c58e9122p+1"},
-         {"n_sig": "0x1.3073998b77e79p+6", "mean": "0x1.41bd894a81d99p-7",
-          "sigma": "0x1.2454cbff57663p-7", "n_bkg": "0x1.6274a6fc8435ep+6",
-          "tau": "0x1.d74bdc908ff2ep-5"},
-         "-0x1.ee6a009063d0ap+15", 174),
-    12: ({"n_sig": "0x1.fb3192823e130p+11", "mean": "0x1.4081f03ef81d2p+2",
-          "sigma": "0x1.080c276157d6cp-1", "n_bkg": "0x1.736736bee0f3ap+12",
-          "tau": "0x1.7e49109480682p+1"},
-         {"n_sig": "0x1.34cad717b273bp+6", "mean": "0x1.4f70b8431b156p-7",
-          "sigma": "0x1.2bf64ba8600a6p-7", "n_bkg": "0x1.62468b005de46p+6",
-          "tau": "0x1.e3ba1ab164ecdp-5"},
-         "-0x1.edafc3f2a564ap+15", 197),
-    13: ({"n_sig": "0x1.e83485ba84acfp+11", "mean": "0x1.417be7fc2dcb2p+2",
-          "sigma": "0x1.f4b3c68f84c1cp-2", "n_bkg": "0x1.7ce5bd22bda7ep+12",
-          "tau": "0x1.7eeffe10ac118p+1"},
-         {"n_sig": "0x1.2d89b7953330ap+6", "mean": "0x1.43d555870b08dp-7",
-          "sigma": "0x1.20285b225ce4cp-7", "n_bkg": "0x1.62e306d6a105fp+6",
-          "tau": "0x1.da871c4923eefp-5"},
-         "-0x1.edb74f12ff643p+15", 210),
+    11: ({"n_sig": "0x1.f052e3dc37b2ep+11", "mean": "0x1.40ced1ea20a8bp+2",
+          "sigma": "0x1.f37c99100cc48p-2", "n_bkg": "0x1.78d68e11e4269p+12",
+          "tau": "0x1.7b6571d753a94p+1"},
+         {"n_sig": "0x1.30749c401f107p+6", "mean": "0x1.41c1ce9ed1581p-7",
+          "sigma": "0x1.245eef7c45659p-7", "n_bkg": "0x1.627301b1ba0dfp+6",
+          "tau": "0x1.d72bf214ee677p-5"},
+         "-0x1.ee6a00940cbfap+15", 8),
+    12: ({"n_sig": "0x1.fb37120cba405p+11", "mean": "0x1.407ec8df5f710p+2",
+          "sigma": "0x1.080b817de3dc8p-1", "n_bkg": "0x1.736476f9a2dfep+12",
+          "tau": "0x1.7e3bf8e489b74p+1"},
+         {"n_sig": "0x1.34cbada5b2385p+6", "mean": "0x1.4f719b6a66d64p-7",
+          "sigma": "0x1.2bf3d1648d878p-7", "n_bkg": "0x1.6245468abfe82p+6",
+          "tau": "0x1.e39411ae69b71p-5"},
+         "-0x1.edafc40d4abc0p+15", 7),
+    13: ({"n_sig": "0x1.e84dc42ef4f71p+11", "mean": "0x1.417ee03486531p+2",
+          "sigma": "0x1.f4d2da71bc354p-2", "n_bkg": "0x1.7cd91de884563p+12",
+          "tau": "0x1.7ea66092c39c4p+1"},
+         {"n_sig": "0x1.2d8a8271898e9p+6", "mean": "0x1.43d58570c3c1dp-7",
+          "sigma": "0x1.203a050ddb224p-7", "n_bkg": "0x1.62da949079520p+6",
+          "tau": "0x1.d9bfa7e52a1b5p-5"},
+         "-0x1.edb74f8ca86e2p+15", 9),
+}
+
+
+# nll_min of the same fits by the Nelder-Mead simplex this minimizer
+# replaced, which stopped on a spread relative to |NLL|
+SIMPLEX_NLL_MIN = {
+    11: "-0x1.ee6a009063d0ap+15", 12: "-0x1.edafc3f2a564ap+15", 13: "-0x1.edb74f12ff643p+15",
 }
 
 
@@ -425,6 +441,7 @@ def test_golden_fit(seed):
     model = _start_model()
     res = hk.fit(model, _gauss_exp_sample(seed), ["x0"])
     assert res.status is FitStatus.CONVERGED
+    assert res.nll_min < float.fromhex(SIMPLEX_NLL_MIN[seed])
     assert res.n_calls == n_calls
     for name in ("mean", "sigma", "tau"):
         assert res.params[name].value.hex() == values[name]
@@ -462,11 +479,13 @@ def test_fit_result_bitwise_across_workers():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_bad_density_names_first_bad_event(bad):
-    # density 0.4 x + 0.6 x: the data value is the density
+    # density 0.4 c x + 0.6 c x with c = 1: the data value is the density
     region = hk.BoundedRegion((RANGE,))
+    c = hk.Parameter("c", 1.0)
+    shape = hk.identity() * hk.wrap_closure(lambda x, p: p["c"].value, [c])
     model = hk.add_pdfs(
         [hk.Parameter("a", 0.4), hk.Parameter("b", 0.6)],
-        [hk.make_pdf(hk.identity(), lambda r: 1.0, region) for _ in range(2)],
+        [hk.make_pdf(shape, lambda r: 1.0, region) for _ in range(2)],
     )
     x = np.random.default_rng(5).uniform(1.0, 2.0, 3 * EVAL_BATCH)
     first = EVAL_BATCH + 2 * CHUNK + 1234    # second batch, mid-chunk
@@ -479,13 +498,13 @@ def test_bad_density_names_first_bad_event(bad):
         with pytest.raises(ValueError) as got:
             hk.nll(model, data, ["x0"], workers=workers)
         assert str(got.value) == str(ref.value)
-        # the yield polish names it too (it let +inf through before)
+        # the gradient pass of a fit and of the yield polish names it too
         with pytest.raises(ValueError) as got:
-            _yield_stationarity(model, data, ["x0"], workers)
+            _likelihood_pass(model, data, ["x0"], workers, model.param_set().free(), outer=True)
         assert str(got.value) == str(ref.value)
 
 
-def test_hessian_takes_13_passes(monkeypatch):
+def test_hessian_takes_7_passes(monkeypatch):
     passes = []
     inner_pass = fitting._likelihood_pass
     inner_errors = fitting.numeric_errors
@@ -507,5 +526,87 @@ def test_hessian_takes_13_passes(monkeypatch):
     assert res.status is FitStatus.CONVERGED
     assert len(model.param_set().free()) == 5
     inside = passes[passes.index("start") + 1 : passes.index("end")]
-    # centre, 2 per shape diagonal, 2 per shape pair: 1 + 2*3 + 2*3
-    assert len(inside) == 13
+    # the centre for the exact yield block, 2 per shape column: 1 + 2*3
+    assert len(inside) == 7
+
+
+# ---------------------------------------------------------------------------
+# the score pass: gradient and S^T S
+
+def _difference(f, p, rel=1e-6):
+    """Central difference of f() over parameter p."""
+    v, h = p.value, rel * abs(p.value)
+    p.set(v + h)
+    up = f()
+    p.set(v - h)
+    down = f()
+    p.set(v)
+    return (up - down) / (2.0 * h)
+
+
+@pytest.mark.parametrize("shape", ["gauss", "exp"])
+def test_norm_log_partials_match_differences(shape):
+    region = hk.BoundedRegion(((1.0, 8.5),))
+    if shape == "gauss":
+        expr = hk.shape_gaussian(hk.Parameter("mean", 4.2), hk.Parameter("sigma", 1.3))
+        norm = hk.gaussian_norm(expr)
+    else:
+        expr = hk.shape_exponential(hk.Parameter("tau", 2.6))
+        norm = hk.exponential_norm(expr)
+    closed = norm.log_partials(region)
+    numeric = hk.make_pdf(expr, None, region).log_norm_partials()
+    for p in expr.leaf_params():
+        ref = _difference(lambda: math.log(norm(region)), p)
+        assert closed[id(p)] == pytest.approx(ref, rel=1e-7), p.name
+        assert numeric[id(p)] == pytest.approx(ref, rel=1e-7), p.name
+
+
+def _off_optimum_model():
+    return build_model(scale=1.4, mean=5.1, sigma=0.47, tau=3.3, n_sig=29000.0, n_bkg=39000.0)
+
+
+def test_pass_gradient_matches_nll_differences():
+    data = _gauss_exp_sample(31, 28000, 42000)
+    assert len(data) > EVAL_BATCH
+    model = _off_optimum_model()
+    free = model.param_set().free()
+    value, grad, _ = _likelihood_pass(model, data, ["x0"], 1, free)
+    assert value == hk.nll(model, data, ["x0"])
+    for p, g in zip(free, grad):
+        ref = _difference(lambda: hk.nll(model, data, ["x0"]), p)
+        assert g == pytest.approx(ref, rel=1e-6), p.name
+
+
+def test_pass_yield_block_is_exact_and_worker_invariant():
+    data = _gauss_exp_sample(32, 28000, 42000)
+    model = _off_optimum_model()
+    free = model.param_set().free()
+    results = {}
+    for workers in (1, 2, 8):
+        value, grad, sts = _likelihood_pass(model, data, ["x0"], workers, free, outer=True)
+        results[workers] = (value.hex(), [g.hex() for g in grad], [v.hex() for v in sts.ravel()])
+    assert results[1] == results[2] == results[8]
+    # the yield block of S^T S is the yield Hessian: d(1 - sum r_k)/dN_j
+    yields = [i for i, p in enumerate(free) if p.name.startswith("n_")]
+    for i in yields:
+        for j in yields:
+            ref = _difference(
+                lambda: _likelihood_pass(model, data, ["x0"], 1, free)[1][i], free[j])
+            assert sts[i, j] == pytest.approx(ref, rel=1e-6)
+
+
+def test_fit_from_afar_reaches_the_minimum_at_a_million_events(monkeypatch):
+    # the sample fit_csv fits at seed 101; a fit from the truth is the
+    # reference minimum
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    from workloads import derive_seed, draw_events
+
+    x = draw_events(np.random.default_rng(derive_seed(101, "fit_csv")), 400_000, 600_000)
+    data = _store(x)
+    results = []
+    for start in ({"mean": 4.8, "sigma": 0.55, "tau": 2.7}, {}):
+        model = build_model(scale=20.0, **start)
+        res = hk.fit(model, data, ["x0"], workers=2)
+        assert res.status is FitStatus.CONVERGED
+        results.append(res.nll_min)
+    assert abs(results[0] - results[1]) < 1e-3

@@ -207,3 +207,96 @@ class TestMapEvaluate:
         s.push((1,))
         with pytest.raises(ValueError):
             hk.map_evaluate(hk.identity(), s, ["n"])
+
+
+class TestPartials:
+    """Forward-mode partials against central differences of ``eval``."""
+
+    X = np.array([0.3, 1.7, 2.9, 4.4, 6.1])
+
+    @staticmethod
+    def _difference(expr, args, p):
+        h = 1e-6 * (1.0 + abs(p.value))
+        v = p.value
+        p.value = v + h
+        up = np.asarray(expr.eval(args), dtype=float)
+        p.value = v - h
+        down = np.asarray(expr.eval(args), dtype=float)
+        p.value = v
+        return (up - down) / (2.0 * h)
+
+    def _check(self, expr, args):
+        value, partials = expr.partials(args)
+        assert np.array_equal(value, expr.eval(args))    # bitwise the value
+        assert set(partials) == {id(p) for p in expr.leaf_params()}
+        for p in expr.leaf_params():
+            ref = self._difference(expr, args, p)
+            np.testing.assert_allclose(partials[id(p)], ref, rtol=1e-7,
+                                       atol=1e-10 * np.max(np.abs(ref)), err_msg=p.name)
+
+    def test_gaussian(self):
+        self._check(_gauss(2.5, 1.3), (self.X,))
+
+    def test_exponential(self):
+        self._check(hk.shape_exponential(hk.Parameter("tau", 2.2)), (self.X,))
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_binary_ops(self, op):
+        mean = hk.Parameter("mean", 2.0)
+        a = hk.shape_gaussian(mean, hk.Parameter("s1", 1.1))
+        b = hk.shape_exponential(hk.Parameter("tau", 1.7)) + hk.shape_gaussian(
+            mean, hk.Parameter("s2", 2.4))    # mean is shared: its partials add up
+        self._check(hk.combine(op, a, b), (self.X,))
+
+    def test_division_by_zero_names_the_point(self):
+        a = hk.shape_exponential(hk.Parameter("tau", 1.0))
+        expr = a / hk.identity()
+        with pytest.raises(EvaluationError) as plain:
+            expr.eval((np.array([1.0, 0.0]),))
+        with pytest.raises(EvaluationError) as differentiated:
+            expr.partials((np.array([1.0, 0.0]),))
+        assert str(differentiated.value) == str(plain.value)
+        assert str(plain.value).startswith("division by zero at point")
+
+    def test_composition_chains_argument_tangents(self):
+        # gauss(exp(x1 / tau)) * closure(gauss, exp): the outer leaves see
+        # arguments that depend on tau, mean and sigma
+        tau = hk.Parameter("tau", 2.0)
+        inner = hk.compose(hk.shape_exponential(tau), [hk.coordinate(1, 2)])
+        g = _gauss(0.6, 0.3)
+        product = hk.wrap_closure(lambda x, p: p["k"].value * x[0] * np.sqrt(x[1]),
+                                  [hk.Parameter("k", 1.5)], arity=2)
+        expr = hk.compose(g, [inner]) * hk.compose(product, [hk.compose(g, [inner]), inner])
+        x1 = np.array([0.2, 0.9, 1.6, 2.8])
+        self._check(expr, (np.zeros_like(x1), x1))
+
+    def test_closure_matches_analytic(self):
+        a, b = hk.Parameter("a", 1.3), hk.Parameter("b", -0.7)
+        f = hk.wrap_closure(lambda x, p: p["a"].value * np.sin(p["b"].value * x[0]), [a, b])
+        value, partials = f.partials((self.X,))
+        assert np.array_equal(value, f.eval((self.X,)))
+        np.testing.assert_allclose(partials[id(a)], np.sin(b.value * self.X), rtol=1e-7)
+        np.testing.assert_allclose(partials[id(b)], a.value * self.X * np.cos(b.value * self.X),
+                                   rtol=1e-7)
+
+    def test_closure_steps_do_not_touch_the_parameters(self):
+        a = hk.Parameter("a", 2.0, lower=1.0, upper=2.0)
+        seen = []
+
+        def fn(x, p):
+            seen.append(p["a"])
+            return p["a"].value * x[0]
+
+        f = hk.wrap_closure(fn, [a])
+        _, partials = f.partials((self.X,))
+        np.testing.assert_allclose(partials[id(a)], self.X, rtol=1e-9)
+        assert a.value == 2.0 and any(q is not a for q in seen)
+
+    def test_coordinate_passes_its_tangent_through(self):
+        a = hk.Parameter("a", 1.0)
+        c = hk.coordinate(1, 2)
+        value, partials = c.partials((self.X, 2 * self.X), ({id(a): 3.0}, {id(a): self.X}))
+        assert np.array_equal(value, 2 * self.X)
+        assert partials.keys() == {id(a)}
+        np.testing.assert_array_equal(partials[id(a)], self.X)
+        assert c.partials((self.X, self.X))[1] == {}
