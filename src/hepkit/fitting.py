@@ -20,7 +20,16 @@ gradient
     dnll/dtheta = d(sum_k N_k)/dtheta - sum_e s_e,
 
 and, on request, S^T S: the BHHH (Fisher) estimate of the Hessian, whose
-yield block sum_e r_k r_j is exact.
+yield block sum_e r_k r_j is exact.  Where the p.d.f.s have closed-form
+second partials the pass instead gives the exact observed Hessian
+
+    d2nll/dtheta dphi = sum_e s_theta s_phi - sum_e D_theta,phi / D,
+
+D the density: the second-derivative term is zero for two yields,
+dpdf_k/dphi for the yield of component k and a shape parameter phi, and
+N_k d2pdf_k for two shape parameters.  A pass of at most one batch
+writes every row it accumulates into its thread's ``parallel.workspace``,
+so the many passes of a small fit reuse that memory.
 
 Minimization is BFGS, the variable-metric method of Minuit's MIGRAD, over
 internal coordinates in which bounded parameters ride smooth transforms.
@@ -29,8 +38,10 @@ stops when the estimated distance to the minimum, EDM = g^T B g / 2, falls
 below a fixed absolute tolerance.  The free yields are then
 Newton-polished onto their exact stationary point.  1-sigma
 uncertainties, following the delta-NLL = 0.5 convention, come from the
-inverse Hessian: the yield block exact, every other column the central
-difference of the exact gradient (see ``numeric_errors``).
+inverse of the exact Hessian, from one pass at the final point.  Only a
+parameter of a shape without second partials (a closure or a
+composition) has its Hessian column differenced: the central difference
+of the exact gradient (see ``numeric_errors``).
 """
 
 from __future__ import annotations
@@ -42,10 +53,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functors import FunctorExpr, ParamSet
+from .functors import FunctorExpr, ParamSet, pair_key
 from .integrate import gk_adaptive, plain_mc
 from .kinematics import Parameter
-from .parallel import CHUNK, chunk_sums, fold, run_batches
+from .parallel import CHUNK, EVAL_BATCH, chunk_sums, fold, run_batches, workspace
 from .rng import BoundedRegion, RngKey, raw64, sample_pdf
 from .store import ColumnStore
 
@@ -68,7 +79,12 @@ class FitResult:
 class Pdf:
     """Shape divided by its integral over the range, with caches of the
     norm and of its log-derivatives on the exact tuple of shape-parameter
-    values."""
+    values.
+
+    ``partials`` gives the first partials over the shape parameters and,
+    when ``second_order`` is set (a shape with second partials and a
+    normalizer with closed-form ``log_second_partials``), the exact second
+    ones too."""
 
     def __init__(
         self,
@@ -87,6 +103,8 @@ class Pdf:
         self._cache_key: tuple[float, ...] | None = None
         self._cache_value = 0.0
         self._log_partials: dict[int, float] | None = None
+        self._log_second_partials: dict[tuple[int, int], float] | None = None
+        self.second_order = shape.second_order and hasattr(self._norm_fn, "log_second_partials")
         self.norm_computations = 0    # test hook for the cache contract
 
     def _numeric_norm(self, region: BoundedRegion) -> float:
@@ -106,6 +124,7 @@ class Pdf:
             self._cache_key = key
             self._cache_value = value
             self._log_partials = None
+            self._log_second_partials = None
             self.norm_computations += 1
         return self._cache_value
 
@@ -118,6 +137,14 @@ class Pdf:
             closed = getattr(self._norm_fn, "log_partials", None)
             self._log_partials = closed(self.region) if closed else self._numeric_log_partials(norm)
         return self._log_partials
+
+    def log_norm_second_partials(self) -> dict[tuple[int, int], float]:
+        """d2 ln norm / d theta d phi in closed form, keyed by ``pair_key``
+        and cached with the norm; only where ``second_order`` is set."""
+        self.norm()
+        if self._log_second_partials is None:
+            self._log_second_partials = self._norm_fn.log_second_partials(self.region)
+        return self._log_second_partials
 
     def _numeric_log_partials(self, norm: float) -> dict[int, float]:
         out = {}
@@ -136,16 +163,49 @@ class Pdf:
     def value(self, args: tuple) -> np.ndarray:
         return np.asarray(self.shape.eval(args), dtype=float) / self.norm()
 
-    def partials(self, args: tuple) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    def partials(self, args: tuple, second: bool = False):
         """``value(args)``, bitwise, and its partials over the shape
-        parameters: dshape/dtheta / norm - pdf * dln norm/dtheta."""
-        shape, partials = self.shape.partials(args)
+        parameters: dshape/dtheta / norm - pdf * dln norm/dtheta.  With
+        ``second`` (where ``second_order`` is set) also the second
+        partials, keyed by ``pair_key``: with p the first partials and L
+        the log-norm partials,
+
+            d2pdf/dx dy = d2shape/dx dy / norm - p_x L_y - p_y L_x
+                          - pdf (L_xy + L_x L_y).
+        """
+        shape, partials, *shape2 = self.shape.partials(args, second=second)
         norm = self.norm()
-        value = np.asarray(shape, dtype=float) / norm
-        out = {key: d / norm for key, d in partials.items()}
-        for key, dln in self.log_norm_partials().items():
-            out[key] = out[key] - value * dln if key in out else -value * dln
-        return value, out
+        out2 = shape2[0] if second else {}
+        if self.shape.second_order:
+            # such a shape returns values of its own: they are scaled in
+            # place, the same arithmetic without copies
+            value, out = shape, partials
+            value /= norm
+            for d in (out, out2):
+                for key in d:
+                    d[key] /= norm
+        else:
+            value = np.asarray(shape, dtype=float) / norm
+            out = {key: d / norm for key, d in partials.items()}
+        log_partials = self.log_norm_partials()
+        for key, dln in log_partials.items():
+            _subtract(out, key, value * dln)
+        if not second:
+            return value, out
+        for x, dx in out.items():
+            for y, dln in log_partials.items():
+                _subtract(out2, pair_key(x, y), (2.0 * dln if x == y else dln) * dx)
+        for (x, y), l2 in self.log_norm_second_partials().items():
+            _subtract(out2, (x, y), (l2 + log_partials[x] * log_partials[y]) * value)
+        return value, out, out2
+
+
+def _subtract(out: dict, key, term) -> None:
+    """out[key] -= term, in place: every array of ``out`` is the caller's."""
+    if key in out:
+        out[key] -= term
+    else:
+        out[key] = -term
 
 
 def make_pdf(
@@ -158,7 +218,8 @@ def make_pdf(
 
 def gaussian_norm(shape) -> Callable[[BoundedRegion], float]:
     """Closed-form integral of the normalized Gaussian over an interval;
-    its ``log_partials`` are the closed-form d ln norm / d(mean, sigma)."""
+    its ``log_partials`` are the closed-form d ln norm / d(mean, sigma) and
+    its ``log_second_partials`` the second ones."""
 
     def norm(region: BoundedRegion) -> float:
         lo, hi = region.bounds[0]
@@ -174,13 +235,34 @@ def gaussian_norm(shape) -> Callable[[BoundedRegion], float]:
         scale = 1.0 / (math.sqrt(2.0 * math.pi) * s * norm(region))
         return {id(shape.mean): (pa - pb) * scale, id(shape.sigma): (a * pa - b * pb) * scale}
 
+    def log_second_partials(region: BoundedRegion) -> dict[tuple[int, int], float]:
+        # with t = (bound - mean) / sigma and phi the unit Gaussian, the
+        # norm's second partials over (mean, mean), (mean, sigma) and
+        # (sigma, sigma) are [t phi], [(t^2 - 1) phi] and [(t^3 - 2t) phi]
+        # over sigma^2, [g] = g(a) - g(b)
+        lo, hi = region.bounds[0]
+        mu, s = shape.mean.value, shape.sigma.value
+        a, b = (lo - mu) / s, (hi - mu) / s
+        pa, pb = math.exp(-0.5 * a * a), math.exp(-0.5 * b * b)
+        scale = 1.0 / (math.sqrt(2.0 * math.pi) * s * s * norm(region))
+        first = log_partials(region)
+        lm, ls = first[id(shape.mean)], first[id(shape.sigma)]
+        mean, sigma = id(shape.mean), id(shape.sigma)
+        return {
+            (mean, mean): (a * pa - b * pb) * scale - lm * lm,
+            pair_key(mean, sigma): ((a * a - 1.0) * pa - (b * b - 1.0) * pb) * scale - lm * ls,
+            (sigma, sigma): ((a**3 - 2.0 * a) * pa - (b**3 - 2.0 * b) * pb) * scale - ls * ls,
+        }
+
     norm.log_partials = log_partials
+    norm.log_second_partials = log_second_partials
     return norm
 
 
 def exponential_norm(shape) -> Callable[[BoundedRegion], float]:
     """Closed-form integral of exp(-x/tau) over an interval; its
-    ``log_partials`` are the closed-form d ln norm / d tau."""
+    ``log_partials`` are the closed-form d ln norm / d tau and its
+    ``log_second_partials`` the closed-form d2 ln norm / d tau2."""
 
     def norm(region: BoundedRegion) -> float:
         lo, hi = region.bounds[0]
@@ -193,7 +275,17 @@ def exponential_norm(shape) -> Callable[[BoundedRegion], float]:
         el, eh = math.exp(-lo / tau), math.exp(-hi / tau)
         return {id(shape.tau): (el * (1.0 + lo / tau) - eh * (1.0 + hi / tau)) / (tau * (el - eh))}
 
+    def log_second_partials(region: BoundedRegion) -> dict[tuple[int, int], float]:
+        # d2 norm / d tau2 = (lo^2 e^(-lo/tau) - hi^2 e^(-hi/tau)) / tau^3
+        lo, hi = region.bounds[0]
+        tau = shape.tau.value
+        el, eh = math.exp(-lo / tau), math.exp(-hi / tau)
+        first = log_partials(region)[id(shape.tau)]
+        second = (el * lo * lo - eh * hi * hi) / (tau**4 * (el - eh))
+        return {(id(shape.tau), id(shape.tau)): second - first * first}
+
     norm.log_partials = log_partials
+    norm.log_second_partials = log_second_partials
     return norm
 
 
@@ -214,6 +306,16 @@ class ExtendedModel:
 
     def species(self) -> list[str]:
         return [y.name for y, _ in self.components]
+
+    def second_order_ids(self) -> set[int]:
+        """ids of the parameters the likelihood pass has an exact Hessian
+        for: every yield and shape parameter except those of a p.d.f.
+        without second partials."""
+        opaque = {
+            id(p) for _, pdf in self.components if not pdf.second_order
+            for p in pdf.shape.leaf_params()
+        }
+        return {id(p) for p in self.param_set() if id(p) not in opaque}
 
     def yields(self) -> list[Parameter]:
         return [y for y, _ in self.components]
@@ -272,20 +374,31 @@ def _likelihood_pass(
     workers: int | None,
     params: Sequence[Parameter] = (),
     outer: bool = False,
+    second: bool = False,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """One data-parallel pass over the store: the extended NLL, its
-    gradient over ``params`` and, with ``outer``, S^T S.
+    gradient over ``params`` and a Hessian over them: S^T S with
+    ``outer``, the exact observed Hessian with ``second``.
 
     Each component's pdf is evaluated once per batch (with its partials
     when a parameter of its shape is wanted) and the density is
     ``ExtendedModel.mixture``'s left fold, so the NLL is bitwise that of a
     density-then-log pass.  The score row of theta is
     (sum_k [N_k is theta] pdf_k + N_k dpdf_k/dtheta) / density, exactly
-    r_k = pdf_k / density for the yield of one component.  A batch returns
-    one row per chunk: the log sum, the sum of each score row and the
-    flattened chunk S^T S; every total is the fixed-order ``fold`` of those
-    rows.  A non-positive or non-finite density makes a chunk's log sum
-    non-finite; only then is the first bad event of the batch named.
+    r_k = pdf_k / density for the yield of one component.  With
+    ``second``, each pair of ``second_order_ids`` parameters that some
+    component depends on both of gets the row of
+
+        d2 density / d theta d phi = sum_k [N_k is theta] dpdf_k/dphi
+            + [N_k is phi] dpdf_k/dtheta + N_k d2pdf_k/dtheta dphi
+
+    over the density, which the Hessian subtracts from S^T S; its row and
+    column of any other parameter are NaN.  A pass of one batch writes the
+    rows into its thread's ``workspace``.  A batch returns one row per
+    chunk: the log sum, the sum of each row and the flattened chunk S^T S;
+    every total is the fixed-order ``fold`` of those rows.  A non-positive
+    or non-finite density makes a chunk's log sum non-finite; only then is
+    the first bad event of the batch named.
     """
     n = len(store)
     if n == 0:
@@ -298,43 +411,89 @@ def _likelihood_pass(
     q = len(params)
     wanted = {id(p) for p in params}
     yields = model.yields()
-    differentiate = [
-        bool(wanted & {id(p) for p in pdf.shape.leaf_params()}) for _, pdf in model.components
+    depends = [{id(p) for p in pdf.shape.leaf_params()} for _, pdf in model.components]
+    differentiate = [bool(wanted & ids) for ids in depends]
+    order2 = [
+        second and d and pdf.second_order for (_, pdf), d in zip(model.components, differentiate)
     ]
-    for (_, pdf), d in zip(model.components, differentiate):
+    for (_, pdf), d, d2 in zip(model.components, differentiate, order2):
         pdf.norm()    # fill caches serially before the parallel section
         if d:
             pdf.log_norm_partials()
+        if d2:
+            pdf.log_norm_second_partials()
+    exact = model.second_order_ids() if second else set()
+    ids = [id(p) for p in params]
+    pairs = [
+        (i, j) for i in range(q) for j in range(i, q)
+        if ids[i] in exact and ids[j] in exact and any(
+            {ids[i], ids[j]} <= ({id(y)} | dep) and (ids[i] in dep or ids[j] in dep)
+            for y, dep in zip(yields, depends)
+        )
+    ]
+    rows = q + len(pairs)
 
     def batch(a: int, b: int) -> np.ndarray:
         args = tuple(c[a:b] for c in cols)
+        # a pass of one batch (a small fit's, where per-call costs
+        # dominate) keeps its rows in the thread's workspace from pass to
+        # pass; a larger pass allocates them per batch, a cost its
+        # arithmetic amortizes, and holds no memory once it returns
+        ws = workspace(rows, b - a) if n <= EVAL_BATCH else np.empty((rows, b - a))
+        started = [False] * rows
+
+        def add(r: int, term: np.ndarray, factor: float | None = None) -> None:
+            # row r = its terms summed left to right
+            if started[r]:
+                ws[r] += term if factor is None else factor * term
+            elif factor is None:
+                np.copyto(ws[r], term)
+            else:
+                np.multiply(factor, term, out=ws[r])
+            started[r] = True
+
+        pdfs = []
         # a bad density is named below, not warned about on the way
         with np.errstate(divide="ignore", invalid="ignore"):
-            pdfs, partials = zip(*(
-                pdf.partials(args) if d else (pdf.value(args), {})
-                for (_, pdf), d in zip(model.components, differentiate)
-            ))
+            # one component at a time: the rows take its terms in
+            # component order, and its partials are freed before the next
+            for (y, pdf), d, d2 in zip(model.components, differentiate, order2):
+                if not d:
+                    pk, dp, d2p = pdf.value(args), {}, {}
+                elif d2:
+                    pk, dp, d2p = pdf.partials(args, second=True)
+                else:
+                    (pk, dp), d2p = pdf.partials(args), {}
+                pdfs.append(pk)
+                for r, p in enumerate(params):
+                    if y is p:
+                        add(r, pk)
+                    if id(p) in dp:
+                        add(r, dp[id(p)], y.value)
+                for r, (i, j) in enumerate(pairs, q):
+                    if id(y) == ids[i] and ids[j] in dp:
+                        add(r, dp[ids[j]])
+                    if id(y) == ids[j] and ids[i] in dp:
+                        add(r, dp[ids[i]])
+                    if pair_key(ids[i], ids[j]) in d2p:
+                        add(r, d2p[pair_key(ids[i], ids[j])], y.value)
             dens = model.mixture(pdfs)
-            sums = chunk_sums(np.log(dens)[None, :])
+            for row, filled in zip(ws, started):
+                if filled:
+                    row /= dens
+                else:
+                    row.fill(0.0)
+            # the density is the mixture's own array: its logs overwrite it
+            sums = chunk_sums(np.log(dens, out=dens)[None, :])
         if not math.isfinite(sum(sums[:, 0].tolist())):
-            check_density(dens, a)
+            check_density(model.mixture(pdfs), a)    # the logs overwrote dens
         if not q:
             return sums
-        s = np.zeros((q, b - a))
-        for row, p in zip(s, params):
-            num = None
-            for y, pk, dp in zip(yields, pdfs, partials):
-                if y is p:
-                    num = pk if num is None else num + pk
-                if id(p) in dp:
-                    term = y.value * dp[id(p)]
-                    num = term if num is None else num + term
-            if num is not None:
-                np.divide(num, dens, out=row)
-        parts = [sums, chunk_sums(s)]
-        if outer:
+        parts = [sums, chunk_sums(ws)]
+        if outer or second:
             # one BLAS product per chunk: chunk_sums of the s_i s_j rows
             # would round the exact yield block differently
+            s = ws[:q]
             sts = [sc @ sc.T for sc in (s[:, c : c + CHUNK] for c in range(0, b - a, CHUNK))]
             parts.append(np.reshape(sts, (len(sums), q * q)))
         return np.hstack(parts)
@@ -345,7 +504,18 @@ def _likelihood_pass(
         return value, None, None
     counts = [sum(y is p for y in yields) for p in params]
     grad = np.array(counts, dtype=float) - totals[1 : 1 + q]
-    return value, grad, totals[1 + q :].reshape(q, q) if outer else None
+    if not (outer or second):
+        return value, grad, None
+    hess = totals[1 + rows :].reshape(q, q)
+    if second:
+        for (i, j), t in zip(pairs, totals[1 + q : 1 + rows]):
+            hess[i, j] -= t
+            if i != j:
+                hess[j, i] -= t
+        opaque = [i for i in range(q) if ids[i] not in exact]
+        hess[opaque, :] = math.nan
+        hess[:, opaque] = math.nan
+    return value, grad, hess
 
 
 def nll(
@@ -573,11 +743,13 @@ def numeric_errors(
 
     ``gradient`` is ``minimize``'s; without it the gradient is the central
     difference of ``objective`` over the same steps.  The Hessian block of
-    the parameters named in ``exact`` is the estimate ``gradient`` returns
-    at the centre; every other column is the central difference of the
+    the parameters named in ``exact`` is the one ``gradient`` returns at
+    the centre, which ``fit`` makes the exact observed Hessian; every other
+    column is the differenced fallback, the central difference of the
     gradient over its parameter's step, and a pair of such parameters gets
     the mean of its two differences.  So s differenced parameters take 2s
-    gradient evaluations, plus one at the centre when ``exact`` names any.
+    gradient evaluations, plus one at the centre when ``exact`` names any:
+    a fit of Gaussian and exponential shapes takes that one alone.
     """
     free = params.free()
     if not free:
@@ -693,9 +865,12 @@ def fit(
 
     ``minimize`` runs on the likelihood pass's exact gradient, its metric
     seeded with the first pass's S^T S.  After it converges the free yields
-    are Newton-polished onto their exact stationary point, then
-    uncertainties are computed at the final parameters, with the yield
-    Hessian block taken exactly from the likelihood pass.
+    are Newton-polished onto their exact stationary point, and ``nll_min``
+    is one ``nll`` pass there.  Through ``numeric_errors``, one pass with
+    the exact observed Hessian at the final parameters gives the
+    uncertainties; only the parameters outside
+    ``ExtendedModel.second_order_ids`` have their Hessian columns
+    differenced.
     """
     params = model.param_set()
     free = params.free()
@@ -717,19 +892,15 @@ def fit(
         _polish_yields(model, store, observable_columns, workers)
     nll_min = nll(model, store, observable_columns, workers=workers)
 
-    # yields entering the density once and no shape have an exact Hessian
-    # block; any other free parameter is differenced
-    shape_ids = {id(p) for _, pdf in model.components for p in pdf.shape.leaf_params()}
-    uses = [id(y) for y in model.yields()]
-    exact = [
-        y.name for y in model.yields()
-        if not y.fixed and id(y) not in shape_ids and uses.count(id(y)) == 1
-    ]
+    def exact_gradient(ps: ParamSet, hessian: bool):
+        return _likelihood_pass(model, store, observable_columns, workers, free, second=hessian)
 
+    exact_ids = model.second_order_ids()
+    exact = [p.name for p in free if id(p) in exact_ids]
     errors: dict[str, float] | None = None
     status = result.status
     if status is FitStatus.CONVERGED:
-        errors = numeric_errors(objective, params, gradient, exact)
+        errors = numeric_errors(objective, params, exact_gradient, exact)
         if errors is None:
             status = FitStatus.HESSIAN_NOT_POS_DEF
     return FitResult(params, errors, nll_min, status, result.n_calls)

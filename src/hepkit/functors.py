@@ -18,7 +18,10 @@ with respect to the leaf parameters it depends on, keyed by
 which is how a composition applies the chain rule.  The Gaussian and
 exponential leaves are analytic, operators apply the sum, product and
 quotient rules, and a closure, whose body is opaque, falls back to
-central differences.
+central differences.  On plain data, a node whose ``second_order`` is set
+also returns its exact second partials: the Gaussian and exponential
+leaves, a coordinate, and +, -, *, / over such nodes.  A closure and a
+composition have none.
 """
 
 from __future__ import annotations
@@ -42,9 +45,32 @@ _CLOSURE_STEP = 1e-5
 Partials = dict[int, np.ndarray]
 """Partial derivatives keyed by ``id`` of the parameter."""
 
+SecondPartials = dict[tuple[int, int], np.ndarray]
+"""Second partial derivatives keyed by ``pair_key`` of two parameter ids;
+a missing pair is zero."""
 
-def _accumulate(out: Partials, key: int, term) -> None:
+
+def pair_key(a: int, b: int) -> tuple[int, int]:
+    """The key of the mixed partial over parameters with ids a and b."""
+    return (a, b) if a <= b else (b, a)
+
+
+def _accumulate(out, key, term) -> None:
     out[key] = out[key] + term if key in out else term
+
+
+def _mixed(out: SecondPartials, a: int, b: int, term) -> None:
+    """Add the term of d2/da db that belongs to two distinct symbols: when
+    both are the same parameter it occurs twice in the second derivative."""
+    _accumulate(out, pair_key(a, b), 2.0 * term if a == b else term)
+
+
+def _cross(out: SecondPartials, dx: Partials, dy: Partials, scale) -> None:
+    """Add scale * (dx_a dy_b + dx_b dy_a) to every pair (a, b): the cross
+    term of the second derivative of a product."""
+    for a, da in dx.items():
+        for b, db in dy.items():
+            _mixed(out, a, b, scale * da * db)
 
 
 def _chain(out: Partials, dfdx, tangent: Partials) -> None:
@@ -107,15 +133,28 @@ class FunctorExpr:
     """Base expression node.  Subclasses define ``arity`` and ``eval``."""
 
     arity: int = 1
+    second_order: bool = False
+    """Whether ``partials(args, second=True)`` has closed forms."""
 
     def eval(self, args: tuple):
         raise NotImplementedError
 
-    def partials(self, args: tuple, tangents: tuple[Partials, ...] | None = None):
+    def partials(
+        self,
+        args: tuple,
+        tangents: tuple[Partials, ...] | None = None,
+        second: bool = False,
+    ):
         """``(eval(args), partials)``: the value, bitwise, and its partial
         derivatives with respect to each leaf parameter it depends on,
         keyed by ``id(parameter)``.  ``tangents`` holds one such dict per
-        argument, the arguments' own partials; None means plain data."""
+        argument, the arguments' own partials; None means plain data.
+
+        With ``second``, on plain data and only where ``second_order`` is
+        set, a third item holds the exact second partials, keyed by
+        ``pair_key``; the first two are bitwise those without it.  On plain
+        data a node with ``second_order`` returns arrays of its own, which
+        the caller may update in place."""
         raise NotImplementedError
 
     def __call__(self, *point):
@@ -163,6 +202,7 @@ class GaussianShape(FunctorExpr):
     """Normalized density exp(-(x-mu)^2 / (2 sigma^2)) / (sigma sqrt(2 pi))."""
 
     arity = 1
+    second_order = True
 
     def __init__(self, mean: Parameter, sigma: Parameter):
         self.mean = mean
@@ -172,21 +212,50 @@ class GaussianShape(FunctorExpr):
         s = self.sigma.value
         if not s > 0:
             raise EvaluationError(f"sigma must be positive, got {s}")
-        z = (x - self.mean.value) / s
-        return s, z, np.exp(-0.5 * z * z) / (s * _SQRT_2PI)
+        # in place where the operand is a fresh array: the same arithmetic,
+        # in the same order, with fewer temporaries
+        z = x - self.mean.value
+        z /= s
+        f = -0.5 * z
+        f *= z
+        f = np.exp(f)
+        f /= s * _SQRT_2PI
+        return s, z, f
 
     def eval(self, args):
         return self._terms(args[0])[2]
 
-    def partials(self, args, tangents=None):
+    def partials(self, args, tangents=None, second=False):
         s, z, f = self._terms(args[0])
-        dmean = f * z / s    # also -df/dx
+        dmean = f * z    # dmean = f z / s, also -df/dx
+        dmean /= s
+        dsigma = dmean * z
+        dsigma -= f / s
         out: Partials = {}
-        _accumulate(out, id(self.mean), dmean)
-        _accumulate(out, id(self.sigma), dmean * z - f / s)
+        mean, sigma = id(self.mean), id(self.sigma)
+        _accumulate(out, mean, dmean)
+        _accumulate(out, sigma, dsigma)
         if tangents:
             _chain(out, -dmean, tangents[0])
-        return f, out
+        if not second:
+            return f, out
+        # f (z^2 - 1), f z (z^2 - 3) and f ((z^2 - 5) z^2 + 2), over s^2,
+        # in place: no z**4 (a float power of negative bases is slow) and
+        # no temporary beyond z^2 and f / s^2
+        z2 = z * z
+        fs2 = f / (s * s)
+        mm, ms, ss = z2 - 1.0, z2 - 3.0, z2 - 5.0
+        mm *= fs2
+        ms *= z
+        ms *= fs2
+        ss *= z2
+        ss += 2.0
+        ss *= fs2
+        out2: SecondPartials = {}
+        _accumulate(out2, (mean, mean), mm)
+        _mixed(out2, mean, sigma, ms)
+        _accumulate(out2, (sigma, sigma), ss)
+        return f, out, out2
 
     def _collect_params(self):
         return (self.mean, self.sigma)
@@ -196,6 +265,7 @@ class ExponentialShape(FunctorExpr):
     """Unnormalized shape exp(-x / tau); normalization is applied downstream."""
 
     arity = 1
+    second_order = True
 
     def __init__(self, tau: Parameter):
         self.tau = tau
@@ -204,15 +274,22 @@ class ExponentialShape(FunctorExpr):
         t = self.tau.value
         if t == 0:
             raise EvaluationError("tau must be non-zero")
-        return np.exp(-np.asarray(args[0], dtype=float) / t)
+        e = -np.asarray(args[0], dtype=float)
+        e /= t
+        return np.exp(e)
 
-    def partials(self, args, tangents=None):
+    def partials(self, args, tangents=None, second=False):
         f = self.eval(args)
         t = self.tau.value
-        out: Partials = {id(self.tau): f * np.asarray(args[0], dtype=float) / (t * t)}
+        x = np.asarray(args[0], dtype=float)
+        dtau = f * x
+        dtau /= t * t
+        out: Partials = {id(self.tau): dtau}
         if tangents:
             _chain(out, -f / t, tangents[0])
-        return f, out
+        if not second:
+            return f, out
+        return f, out, {(id(self.tau), id(self.tau)): dtau * (x - 2.0 * t) / (t * t)}
 
     def _collect_params(self):
         return (self.tau,)
@@ -229,10 +306,13 @@ class Closure(FunctorExpr):
     def eval(self, args):
         return self.fn(args, self.params)
 
-    def partials(self, args, tangents=None):
+    def partials(self, args, tangents=None, second=False):
         """Central differences: each parameter steps in a copy of the
         parameter set, so concurrent evaluations never see a shifted value;
-        each argument with a tangent steps in a copy of the point."""
+        each argument with a tangent steps in a copy of the point.  There
+        are no second partials."""
+        if second:
+            raise NotImplementedError("a closure has no second partials")
         value = self.eval(args)
         out: Partials = {}
         for i, p in enumerate(self.params):
@@ -271,6 +351,7 @@ class _BinaryOp(FunctorExpr):
         self.left = left
         self.right = right
         self.arity = left.arity
+        self.second_order = left.second_order and right.second_order
 
     def _apply(self, a, b, args):
         if self.op == "/":
@@ -278,7 +359,7 @@ class _BinaryOp(FunctorExpr):
             if np.any(zero):
                 j = int(np.argmax(np.asarray(zero).ravel()))
                 point = tuple(
-                    np.asarray(c).ravel()[j] if not np.isscalar(c) else c for c in args
+                    float(np.asarray(c).ravel()[j] if not np.isscalar(c) else c) for c in args
                 )
                 raise EvaluationError(f"division by zero at point {point}")
         return self._ops[self.op](a, b)
@@ -286,23 +367,40 @@ class _BinaryOp(FunctorExpr):
     def eval(self, args):
         return self._apply(self.left.eval(args), self.right.eval(args), args)
 
-    def partials(self, args, tangents=None):
-        a, da = self.left.partials(args, tangents)
-        b, db = self.right.partials(args, tangents)
+    def partials(self, args, tangents=None, second=False):
+        left = self.left.partials(args, tangents, second)
+        right = self.right.partials(args, tangents, second)
+        (a, da), (b, db) = left[:2], right[:2]
         value = self._apply(a, b, args)
         out: Partials = {}
-        if self.op == "+":
-            terms = [*da.items(), *db.items()]
-        elif self.op == "-":
-            terms = [*da.items(), *((k, -d) for k, d in db.items())]
-        elif self.op == "*":
-            terms = [*((k, d * b) for k, d in da.items()), *((k, a * d) for k, d in db.items())]
-        else:    # d(a/b) = (da - (a/b) db) / b
-            terms = [*((k, d / b) for k, d in da.items()),
-                     *((k, -value * d / b) for k, d in db.items())]
-        for key, term in terms:
+        for key, term in self._rule(a, da, b, db, value):
             _accumulate(out, key, term)
-        return value, out
+        if not second:
+            return value, out
+        # the same rules on the second partials, plus the cross terms of a
+        # product, d(ab) = a_x b_y + a_y b_x, and of a quotient, where
+        # (a/b)_xy = (a_xy - (a/b)_x b_y - (a/b)_y b_x - (a/b) b_xy) / b
+        out2: SecondPartials = {}
+        for key, term in self._rule(a, left[2], b, right[2], value):
+            _accumulate(out2, key, term)
+        if self.op == "*":
+            _cross(out2, da, db, 1.0)
+        elif self.op == "/":
+            _cross(out2, out, db, -1.0 / b)
+        return value, out, out2
+
+    def _rule(self, a, da, b, db, value):
+        """The sum, difference, product or quotient rule, term by term,
+        over the partials ``da`` of a and ``db`` of b."""
+        if self.op == "+":
+            return [*da.items(), *db.items()]
+        if self.op == "-":
+            return [*da.items(), *((k, -d) for k, d in db.items())]
+        if self.op == "*":
+            return [*((k, d * b) for k, d in da.items()), *((k, a * d) for k, d in db.items())]
+        # d(a/b) = (da - (a/b) db) / b
+        return [*((k, d / b) for k, d in da.items()),
+                *((k, -value * d / b) for k, d in db.items())]
 
     def _collect_params(self):
         yield from self.left._collect_params()
@@ -327,7 +425,9 @@ class Composition(FunctorExpr):
     def eval(self, args):
         return self.outer.eval(tuple(f.eval(args) for f in self.inners))
 
-    def partials(self, args, tangents=None):
+    def partials(self, args, tangents=None, second=False):
+        if second:
+            raise NotImplementedError("a composition has no second partials")
         # the inners' partials are the tangents of the outer's arguments
         values, inner = zip(*(f.partials(args, tangents) for f in self.inners))
         return self.outer.partials(values, inner)
@@ -341,6 +441,8 @@ class Composition(FunctorExpr):
 class Coordinate(FunctorExpr):
     """Projection of an n-dimensional point onto one component."""
 
+    second_order = True
+
     def __init__(self, index: int, arity: int = 1):
         if not 0 <= index < arity:
             raise ValueError(f"index {index} out of range for arity {arity}")
@@ -350,8 +452,9 @@ class Coordinate(FunctorExpr):
     def eval(self, args):
         return np.asarray(args[self.index], dtype=float) + 0.0
 
-    def partials(self, args, tangents=None):
-        return self.eval(args), dict(tangents[self.index]) if tangents else {}
+    def partials(self, args, tangents=None, second=False):
+        value, out = self.eval(args), dict(tangents[self.index]) if tangents else {}
+        return (value, out, {}) if second else (value, out)
 
 
 def shape_gaussian(mean: Parameter, sigma: Parameter) -> FunctorExpr:

@@ -10,7 +10,9 @@ the worker count, and ``EVAL_BATCH`` is a multiple of ``CHUNK``, so every
 batch starts on the global chunk grid and batch-local chunks are global
 chunks.  Workers only decide *who* runs a batch, never *what* a batch or a
 chunk contains, so results are bitwise identical for any number of
-workers.
+workers.  A batch whose rows are rebuilt call after call can write them
+into its thread's ``workspace``, so repeated calls reuse that memory
+instead of allocating (and page-faulting) it afresh.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ T = TypeVar("T")
 # dominate operations that finish in milliseconds
 _pools: dict[int, ThreadPoolExecutor] = {}
 _pools_lock = threading.Lock()
+
+_scratch = threading.local()
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
@@ -96,6 +100,23 @@ def chunk_sums(rows: np.ndarray) -> np.ndarray:
     if full < m:
         np.add.reduce(rows[:, full:], axis=1, out=out[-1])
     return out
+
+
+def workspace(rows: int, m: int) -> np.ndarray:
+    """A ``(rows, m)`` float64 scratch array owned by the calling thread;
+    the thread's next call returns the same memory.  Its contents are
+    undefined, and nothing made from it may outlive the caller's batch.
+
+    The buffer grows to the largest request the thread has made, with m
+    rounded up to whole chunks so that batches a few rows apart share it,
+    and is never shrunk.
+    """
+    need = rows * m
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < need:
+        buf = _scratch.buf = None    # drop the old buffer before allocating
+        buf = _scratch.buf = np.empty(rows * (-(-m // CHUNK) * CHUNK))
+    return buf[:need].reshape(rows, m)
 
 
 def fold(parts: Sequence[np.ndarray]) -> np.ndarray:

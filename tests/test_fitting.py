@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import hepkit as hk
 from hepkit import fitting
 from hepkit.fitting import FitStatus, _likelihood_pass, generate_model_sample, numeric_errors
+from hepkit.functors import pair_key
 from hepkit.parallel import CHUNK, EVAL_BATCH, run_batches
 from toymodel import build_model, RANGE, TRUTH
 
@@ -504,7 +507,44 @@ def test_bad_density_names_first_bad_event(bad):
         assert str(got.value) == str(ref.value)
 
 
-def test_hessian_takes_7_passes(monkeypatch):
+def _closure_model(analytic_gauss=False):
+    """``_start_model``'s Gaussian and exponential, the exponential (and
+    unless ``analytic_gauss`` the Gaussian too) as closures with plain
+    closed-form normalizers: shapes without second partials."""
+    region = hk.BoundedRegion((RANGE,))
+    lo, hi = RANGE
+    mean = hk.Parameter("mean", 4.7, step=0.1)
+    sigma = hk.Parameter("sigma", 0.6, step=0.05, lower=1e-4)
+    tau = hk.Parameter("tau", 2.6, step=0.2, lower=1e-4)
+    if analytic_gauss:
+        gauss = hk.shape_gaussian(mean, sigma)
+        gauss_pdf = hk.make_pdf(gauss, hk.gaussian_norm(gauss), region)
+    else:
+        gauss = hk.wrap_closure(
+            lambda x, p: np.exp(-0.5 * ((x[0] - p["mean"].value) / p["sigma"].value) ** 2),
+            [mean, sigma])
+
+        def gauss_norm(r):
+            rt2 = math.sqrt(2.0) * sigma.value
+            return sigma.value * math.sqrt(0.5 * math.pi) * (
+                math.erf((hi - mean.value) / rt2) - math.erf((lo - mean.value) / rt2))
+
+        gauss_pdf = hk.make_pdf(gauss, gauss_norm, region)
+    expo = hk.wrap_closure(lambda x, p: np.exp(-x[0] / p["tau"].value), [tau])
+    expo_pdf = hk.make_pdf(
+        expo, lambda r: tau.value * (math.exp(-lo / tau.value) - math.exp(-hi / tau.value)), region)
+    return hk.add_pdfs([hk.Parameter("n_sig", 4000.0, step=63.0, lower=0.0),
+                        hk.Parameter("n_bkg", 6000.0, step=77.0, lower=0.0)],
+                       [gauss_pdf, expo_pdf])
+
+
+@pytest.mark.parametrize("build, differenced", [
+    (_start_model, 0),
+    (lambda: _closure_model(analytic_gauss=True), 1),
+    (_closure_model, 3),
+])
+def test_hessian_passes_inside_numeric_errors(monkeypatch, build, differenced):
+    # one exact pass at the centre, two per parameter without second partials
     passes = []
     inner_pass = fitting._likelihood_pass
     inner_errors = fitting.numeric_errors
@@ -521,13 +561,83 @@ def test_hessian_takes_7_passes(monkeypatch):
 
     monkeypatch.setattr(fitting, "_likelihood_pass", counting_pass)
     monkeypatch.setattr(fitting, "numeric_errors", marking_errors)
-    model = _start_model()
+    model = build()
     res = hk.fit(model, _gauss_exp_sample(11), ["x0"])
     assert res.status is FitStatus.CONVERGED
-    assert len(model.param_set().free()) == 5
+    free = model.param_set().free()
+    assert len(free) == 5
+    assert sum(id(p) not in model.second_order_ids() for p in free) == differenced
     inside = passes[passes.index("start") + 1 : passes.index("end")]
-    # the centre for the exact yield block, 2 per shape column: 1 + 2*3
-    assert len(inside) == 7
+    assert len(inside) == 1 + 2 * differenced
+
+
+# The fit of the all-closure model on seed 11, recorded before the exact
+# Hessian existed: every shape column of its Hessian is differenced, so
+# the errors are bitwise those of the differencing path.
+CLOSURE_GOLDEN = (
+    {"n_sig": "0x1.f052e3db0f04ap+11", "mean": "0x1.40ced1ea0abadp+2",
+     "sigma": "0x1.f37c990f0695cp-2", "n_bkg": "0x1.78d68e12787ddp+12",
+     "tau": "0x1.7b6571daed506p+1"},
+    {"n_sig": "0x1.30749c39c0e01p+6", "mean": "0x1.41c1cea5dfd1cp-7",
+     "sigma": "0x1.245eefa2b6a02p-7", "n_bkg": "0x1.627301acad185p+6",
+     "tau": "0x1.d72bf136a7ed1p-5"},
+    "-0x1.ee6a00940cbfep+15", 8,
+)
+
+
+def test_closure_model_differenced_errors_bitwise():
+    values, errors, nll_min, n_calls = CLOSURE_GOLDEN
+    res = hk.fit(_closure_model(), _gauss_exp_sample(11), ["x0"])
+    assert res.status is FitStatus.CONVERGED
+    assert {p.name: p.value.hex() for p in res.params} == values
+    assert {k: v.hex() for k, v in res.errors.items()} == errors
+    assert (res.nll_min.hex(), res.n_calls) == (nll_min, n_calls)
+
+
+_FAULTS_CHILD = """
+import math, resource, sys
+import numpy as np
+import hepkit as hk
+from toymodel import build_model
+
+rng = np.random.default_rng(11)
+sig = rng.normal(5.0, 0.5, 4000)
+bkg = -3.0 * np.log1p(-rng.random(6000) * -math.expm1(-10.0 / 3.0))
+data = hk.ColumnStore.from_columns(hk.ColumnSchema.real64("x0"), [np.concatenate([sig, bkg])])
+
+def one():
+    model = build_model(scale=0.2, mean=4.7, sigma=0.6, tau=2.6)
+    assert hk.fit(model, data, ["x0"], workers=2).status is hk.FitStatus.CONVERGED
+
+for _ in range(3):
+    one()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    one()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.parametrize("malloc, bound", [
+    ({}, 100),
+    # glibc's default thresholds, pinned, so never raised after a large
+    # free: fresh (q, n) score rows alone would cost 5 * 1e4 * 8 B / 4 KiB,
+    # about 98 pages, in each of a fit's 8 or more passes; what is left
+    # is glibc trimming and re-faulting the pdf temporaries, which varies
+    # with the process's heap layout
+    ({"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"}, 400),
+])
+def test_fit_minor_faults_per_fit(malloc, bound):
+    # a fresh interpreter, which alone is measured; a fit that allocated
+    # its (q, n) score rows afresh per pass faulted about 1 500 pages a fit
+    # whenever glibc mapped them anew or trimmed them back
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env.update(malloc)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    out = subprocess.run([sys.executable, "-c", _FAULTS_CHILD], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert float(out.stdout) < bound
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +669,46 @@ def test_norm_log_partials_match_differences(shape):
         ref = _difference(lambda: math.log(norm(region)), p)
         assert closed[id(p)] == pytest.approx(ref, rel=1e-7), p.name
         assert numeric[id(p)] == pytest.approx(ref, rel=1e-7), p.name
+
+
+@pytest.mark.parametrize("shape", ["gauss", "exp"])
+def test_norm_log_second_partials_match_differences(shape):
+    region = hk.BoundedRegion(((1.0, 8.5),))
+    if shape == "gauss":
+        expr = hk.shape_gaussian(hk.Parameter("mean", 4.2), hk.Parameter("sigma", 1.3))
+        norm = hk.gaussian_norm(expr)
+    else:
+        expr = hk.shape_exponential(hk.Parameter("tau", 2.6))
+        norm = hk.exponential_norm(expr)
+    closed = norm.log_second_partials(region)
+    params = expr.leaf_params()
+    assert len(closed) == len(params) * (len(params) + 1) // 2
+    for p in params:
+        for q in params:
+            ref = _difference(lambda: norm.log_partials(region)[id(q)], p)
+            assert closed[pair_key(id(p), id(q))] == pytest.approx(ref, rel=1e-7), (p.name, q.name)
+
+
+@pytest.mark.parametrize("shape", ["gauss", "exp"])
+def test_pdf_second_partials_match_differences(shape):
+    region = hk.BoundedRegion(((1.0, 8.5),))
+    if shape == "gauss":
+        expr = hk.shape_gaussian(hk.Parameter("mean", 4.2), hk.Parameter("sigma", 1.3))
+        pdf = hk.make_pdf(expr, hk.gaussian_norm(expr), region)
+    else:
+        expr = hk.shape_exponential(hk.Parameter("tau", 2.6))
+        pdf = hk.make_pdf(expr, hk.exponential_norm(expr), region)
+    assert pdf.second_order
+    x = (np.linspace(1.0, 8.5, 31),)
+    value, first, second = pdf.partials(x, second=True)
+    plain_value, plain_first = pdf.partials(x)
+    assert np.array_equal(value, plain_value)
+    assert all(np.array_equal(first[k], plain_first[k]) for k in plain_first)
+    for p in expr.leaf_params():
+        for q in expr.leaf_params():
+            ref = _difference(lambda: pdf.partials(x)[1][id(q)], p)
+            np.testing.assert_allclose(second[pair_key(id(p), id(q))], ref, rtol=1e-6,
+                                       atol=1e-9 * np.max(np.abs(ref)), err_msg=f"{p.name}, {q.name}")
 
 
 def _off_optimum_model():
@@ -610,3 +760,64 @@ def test_fit_from_afar_reaches_the_minimum_at_a_million_events(monkeypatch):
         assert res.status is FitStatus.CONVERGED
         results.append(res.nll_min)
     assert abs(results[0] - results[1]) < 1e-3
+
+
+def _shared_mean_model():
+    """Two Gaussians sharing their mean, over an exponential, away from
+    the optimum of ``_gauss_exp_sample``."""
+    region = hk.BoundedRegion((RANGE,))
+    mean = hk.Parameter("mean", 5.1)
+    narrow = hk.shape_gaussian(mean, hk.Parameter("s_narrow", 0.4, lower=1e-4))
+    wide = hk.shape_gaussian(mean, hk.Parameter("s_wide", 0.9, lower=1e-4))
+    expo = hk.shape_exponential(hk.Parameter("tau", 3.3, lower=1e-4))
+    return hk.add_pdfs(
+        [hk.Parameter(name, v, lower=0.0)
+         for name, v in (("n_narrow", 20000.0), ("n_wide", 9000.0), ("n_bkg", 39000.0))],
+        [hk.make_pdf(narrow, hk.gaussian_norm(narrow), region),
+         hk.make_pdf(wide, hk.gaussian_norm(wide), region),
+         hk.make_pdf(expo, hk.exponential_norm(expo), region)])
+
+
+@pytest.mark.parametrize("build", [_off_optimum_model, _shared_mean_model])
+def test_pass_hessian_matches_gradient_differences(build):
+    data = _gauss_exp_sample(33, 28000, 42000)
+    model = build()
+    free = model.param_set().free()
+    value, grad, hess = _likelihood_pass(model, data, ["x0"], 1, free, second=True)
+    assert value.hex() == hk.nll(model, data, ["x0"]).hex()
+    plain = _likelihood_pass(model, data, ["x0"], 1, free)[1]
+    assert [g.hex() for g in grad] == [g.hex() for g in plain]
+    assert np.array_equal(hess, hess.T)
+    for j, p in enumerate(free):
+        ref = _difference(lambda: _likelihood_pass(model, data, ["x0"], 1, free)[1], p)
+        for i, q in enumerate(free):
+            assert hess[i, j] == pytest.approx(ref[i], rel=1e-6), (q.name, p.name)
+    for workers in (2, 8):
+        again = _likelihood_pass(model, data, ["x0"], workers, free, second=True)
+        assert [v.hex() for v in again[2].ravel()] == [v.hex() for v in hess.ravel()]
+
+
+def test_pass_hessian_of_closure_parameters_is_nan():
+    data = _gauss_exp_sample(34)
+    model = _closure_model(analytic_gauss=True)
+    free = model.param_set().free()
+    _, _, hess = _likelihood_pass(model, data, ["x0"], 1, free, second=True)
+    _, _, sts = _likelihood_pass(model, data, ["x0"], 1, free, outer=True)
+    opaque = [i for i, p in enumerate(free) if p.name == "tau"]
+    exact = [i for i, p in enumerate(free) if p.name != "tau"]
+    assert np.all(np.isnan(hess[opaque, :])) and np.all(np.isnan(hess[:, opaque]))
+    assert np.all(np.isfinite(hess[np.ix_(exact, exact)]))
+    yields = [i for i, p in enumerate(free) if p.name.startswith("n_")]
+    assert np.array_equal(hess[np.ix_(yields, yields)], sts[np.ix_(yields, yields)])
+
+
+def test_pass_results_do_not_alias_the_workspace():
+    data = _gauss_exp_sample(35)
+    model = _start_model()
+    free = model.param_set().free()
+    first = _likelihood_pass(model, data, ["x0"], 1, free, second=True)
+    kept = [first[1].copy(), first[2].copy()]
+    model.param_set()["mean"].set(5.3)
+    _likelihood_pass(model, data, ["x0"], 1, free, second=True)
+    _likelihood_pass(model, data, ["x0"], 1, free, outer=True)
+    assert np.array_equal(first[1], kept[0]) and np.array_equal(first[2], kept[1])

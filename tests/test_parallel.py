@@ -1,10 +1,12 @@
 """The one reduction primitive: per-chunk sums and their ordered fold."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import hepkit as hk
-from hepkit.parallel import CHUNK, EVAL_BATCH, chunk_sums, fold
+from hepkit.parallel import CHUNK, EVAL_BATCH, chunk_sums, fold, workspace
 from toymodel import build_model
 
 
@@ -49,3 +51,19 @@ def test_splot_matrix_rejects_empty_store():
         hk.splot_matrix(build_model(), empty, ["x0"])
     assert "empty" in str(info.value)
     assert "\n" not in str(info.value)
+
+
+def test_workspace_is_per_thread_and_grows_on_demand():
+    first = workspace(3, 1000)
+    assert first.shape == (3, 1000) and first.flags.c_contiguous
+    smaller = workspace(2, 700)
+    assert np.shares_memory(first, smaller)    # reused, not reallocated
+    larger = workspace(4, 1000)
+    assert larger.shape == (4, 1000)
+    assert np.shares_memory(larger, workspace(1, 10))    # the grown buffer stays
+    other = []
+    thread = threading.Thread(target=lambda: other.append(workspace(4, 1000)))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not np.shares_memory(other[0], larger)
