@@ -274,7 +274,7 @@ def cmd_toys(args) -> int:
     lines = ["toy,name,value,error,status"]
     for t in range(args.n):
         model = build_model(args.model, bounds, init, fixed)
-        key = RngKey(args.seed, stream=STREAM_TOYS, counter=t << 40)
+        key = RngKey(args.seed, stream=STREAM_TOYS).child(t)
         sample = generate_model_sample(model, key, workers=args.workers)
         result = fit(model, sample, ["x0"], workers=args.workers,
                      max_iterations=args.max_iterations)

@@ -57,7 +57,7 @@ from .functors import FunctorExpr, ParamSet, pair_key
 from .integrate import gk_adaptive, plain_mc
 from .kinematics import Parameter
 from .parallel import CHUNK, EVAL_BATCH, chunk_sums, fold, run_batches, workspace
-from .rng import BoundedRegion, RngKey, raw64, sample_pdf
+from .rng import BoundedRegion, RngKey, poisson_deviate, sample_pdf
 from .store import ColumnStore
 
 
@@ -859,7 +859,6 @@ def fit(
     workers: int | None = 1,
     max_iterations: int = 2000,
     tolerance: float = EDM_TOLERANCE,
-    polish_yields: bool = True,
 ) -> FitResult:
     """Extended maximum-likelihood fit of yields and shape parameters.
 
@@ -888,7 +887,7 @@ def fit(
         compute_errors=False,
         gradient=gradient,
     )
-    if result.status is FitStatus.CONVERGED and polish_yields:
+    if result.status is FitStatus.CONVERGED:
         _polish_yields(model, store, observable_columns, workers)
     nll_min = nll(model, store, observable_columns, workers=workers)
 
@@ -909,13 +908,6 @@ def fit(
 # ---------------------------------------------------------------------------
 # toy generation
 
-def _poisson_count(lam: float, key: RngKey, tag: int) -> int:
-    """Poisson draw addressed by (key, tag), via a counter-based generator."""
-    words = raw64(key, np.arange(2, dtype=np.uint64) + np.uint64(2 * tag))
-    gen = np.random.Generator(np.random.Philox(key=[int(words[0]), int(words[1])]))
-    return int(gen.poisson(lam))
-
-
 def generate_model_sample(
     model: ExtendedModel,
     key: RngKey,
@@ -924,18 +916,17 @@ def generate_model_sample(
 ) -> ColumnStore:
     """Draw a data set from the model at its current parameter values.
 
-    Component counts are Poisson(N_k) (or exactly round(N_k) when
-    ``poisson`` is false); each component is sampled by accept-reject on
-    its shape with a per-component counter block.
+    Component c draws from ``key.child(c)``: its count, Poisson(N_c) (or
+    exactly round(N_c) when ``poisson`` is false), from that key's child 0,
+    and its events, by accept-reject on its shape, from its child 1.
     """
     parts: list[ColumnStore] = []
     for c, (y, pdf) in enumerate(model.components):
-        lam = y.value
-        count = _poisson_count(lam, key, c) if poisson else int(round(lam))
+        comp_key = key.child(c)
+        count = poisson_deviate(comp_key.child(0), y.value) if poisson else int(round(y.value))
         if count == 0:
             continue
-        comp_key = key.offset((c + 1) << 32)
-        parts.append(sample_pdf(pdf.shape, pdf.region, count, comp_key, workers=workers))
+        parts.append(sample_pdf(pdf.shape, pdf.region, count, comp_key.child(1), workers=workers))
     if not parts:
         raise ValueError("model yields produced an empty sample")
     schema = parts[0].schema

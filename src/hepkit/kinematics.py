@@ -1,14 +1,16 @@
 """Relativistic kinematics primitives (GeV, metric +,-,-,-).
 
 All scalars are 64-bit floats.  Operations are pure functions on value
-types and safe to call concurrently; ``boost`` also takes numpy arrays and
-is the one boost core of the package.
+types and safe to call concurrently; ``boost`` and ``breakup`` also take
+numpy arrays and are the one boost and breakup-momentum core of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # relative tolerance for the on-shell precondition of invariant_mass
 MASS_TOLERANCE = 1e-9
@@ -121,18 +123,23 @@ def kallen(x: float, y: float, z: float) -> float:
     return x * x + y * y + z * z - 2.0 * (x * y + y * z + z * x)
 
 
-def breakup_momentum(M: float, m1: float, m2: float) -> float:
-    """Two-body breakup momentum sqrt(lambda(M^2, m1^2, m2^2)) / (2M).
+def breakup(M, m1, m2):
+    """Array-safe breakup momentum sqrt(lambda(M^2, m1^2, m2^2)) / (2M), with
+    lambda = (M^2 - (m1^2 + m2^2))^2 - 4 (m1^2 m2^2): bitwise symmetric in the
+    daughters, exactly 0 at threshold and clamped at 0 below it.  Preconditions
+    are the caller's; ``breakup_momentum`` checks them for one decay."""
+    a2, b2 = m1 * m1, m2 * m2
+    d = M * M - (a2 + b2)
+    return np.sqrt(np.maximum(d * d - 4.0 * (a2 * b2), 0.0)) / (2.0 * M)
 
-    Exactly 0 at threshold; BelowThreshold when M < m1 + m2 (beyond the
-    absolute slack).
-    """
+
+def breakup_momentum(M: float, m1: float, m2: float) -> float:
+    """``breakup`` of one decay; BelowThreshold if M < m1 + m2 beyond the slack."""
     if M <= 0:
         raise BelowThreshold(f"mother mass must be positive, got {M}")
     if M < m1 + m2 - THRESHOLD_SLACK:
         raise BelowThreshold(f"{M} below threshold {m1} + {m2}")
-    lam = kallen(M * M, m1 * m1, m2 * m2)
-    return math.sqrt(max(0.0, lam)) / (2.0 * M)
+    return float(breakup(M, m1, m2))
 
 
 def boost(e, px, py, pz, fe, fx, fy, fz, fm):

@@ -26,11 +26,12 @@ from .kinematics import (
     BelowThreshold,
     FourVector,
     boost,
+    breakup,
     breakup_momentum,
     invariant_mass,
 )
 from .parallel import EVAL_BATCH, chunk_sums, fold, run_batches
-from .rng import RngKey, uniform_array, _u64
+from .rng import RngKey, check_span, uniform_array, _u64
 from .store import ColumnSchema, ColumnStore
 
 
@@ -65,13 +66,6 @@ def phsp_schema(n_daughters: int) -> ColumnSchema:
     return ColumnSchema.real64(*names)
 
 
-def _pdk_array(M: np.ndarray, m1: np.ndarray | float, m2: float) -> np.ndarray:
-    """Vectorized breakup momentum; tiny negative lambdas from rounding clamp to 0."""
-    M2, a2, b2 = M * M, np.square(m1), m2 * m2
-    lam = (M2 - a2 - b2) ** 2 - 4.0 * a2 * b2
-    return np.sqrt(np.maximum(lam, 0.0)) / (2.0 * M)
-
-
 def _draws_per_event(n: int) -> int:
     # n-2 mass deviates plus (cos theta, phi) per chain step
     return (n - 2) + 2 * (n - 1)
@@ -87,6 +81,7 @@ def _generate_rest_frame(
     T = M - float(np.sum(masses))
     csum = np.cumsum(masses)
     D = _draws_per_event(n)
+    check_span(key, n_events, D)
 
     weight = np.empty(n_events)
     comps = [np.empty(n_events) for _ in range(4 * n)]
@@ -111,7 +106,7 @@ def _generate_rest_frame(
         w = np.ones(m_ev)
         pstars = []
         for k in range(1, n):
-            pk = _pdk_array(inv_mas[:, k], inv_mas[:, k - 1], masses[k])
+            pk = breakup(inv_mas[:, k], inv_mas[:, k - 1], masses[k])
             pstars.append(pk)
             w = w * pk
 
@@ -218,11 +213,8 @@ def phsp_unweight(
         accept[a:b] = u * w_max < w[a:b]
 
     run_batches(batch, n, workers, batch=EVAL_BATCH)
-    out = block.where_mask(accept)
-    cols = [np.ones(len(out))] + [
-        np.array(out.column(name)) for name in out.schema.names[1:]
-    ]
-    return ColumnStore.from_columns(out.schema, cols)
+    cols = [block.column(name)[accept] for name in block.schema.names[1:]]
+    return ColumnStore.from_columns(block.schema, [np.ones(len(cols[0]))] + cols)
 
 
 def phsp_decay_chain(

@@ -1,9 +1,11 @@
 """Counter-addressable random numbers and accept-reject p.d.f. sampling.
 
 Every deviate is a pure function of (seed, stream, counter): obtaining draw
-i never requires producing draw i-1 first.  Bulk generators assign each
-output element its own counter range, so the work can be partitioned across
-any number of workers without changing a single bit of the result.
+i never requires producing draw i-1 first.  As in Random123 (Salmon et al.,
+SC'11), a stream names a subsystem of the command-line tools,
+``RngKey.child(tag)`` names a sub-task by hashing the tag into a new seed,
+and a counter indexes one call's draws: each output element owns its own
+counter range, so any number of workers gives the same bits.
 
 The concrete bijection is a SplitMix64-style sequence: the keyed state
 ``base(seed, stream) + counter * GOLDEN`` is passed through the SplitMix64
@@ -23,6 +25,7 @@ Stream ids used by the command-line tools:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +36,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0x6A09E667F3BCC909)
+_CHILD_SALT = np.uint64(0xBB67AE8584CAA73B)
 
 # 2**-53, to map the top 53 bits of a u64 onto [0, 1)
 _INV53 = float(np.ldexp(1.0, -53))
@@ -57,8 +61,12 @@ class RngKey:
     def at(self, counter: int) -> "RngKey":
         return replace(self, counter=counter)
 
-    def offset(self, delta: int) -> "RngKey":
-        return replace(self, counter=self.counter + delta)
+    def child(self, tag: int) -> "RngKey":
+        """The key of sub-task ``tag``: same stream, counter 0, and a seed
+        hashed from (seed, stream, counter, tag), injective in the tag for
+        one key and in the counter for one tag."""
+        h = raw64(self) + np.array([_u64(tag)]) * _CHILD_SALT
+        return RngKey(int(_mix64(h)[0]), self.stream)
 
 
 @dataclass(frozen=True)
@@ -141,9 +149,25 @@ def gaussian_array(key: RngKey, indices: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
 
+def poisson_deviate(key: RngKey, lam: float) -> int:
+    """Poisson(lam) deviate: the arrivals before time ``lam`` of a unit-rate
+    process whose gaps are exponential deviates at counters 0, 1, ...; lam +
+    12 sqrt(lam) + 12 gaps fall short of lam with probability < 1e-30."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {lam!r}")
+    gaps = -np.log1p(-uniform_array(key, np.arange(int(lam + 12.0 * math.sqrt(lam) + 12.0))))
+    return int(np.searchsorted(np.cumsum(gaps), lam))
+
+
 def gaussian_deviate(key: RngKey) -> float:
     """Single standard normal deviate; key.counter is the draw index."""
     return float(gaussian_array(key.at(0), np.array([_u64(key.counter)]))[0])
+
+
+def check_span(key: RngKey, n: int, width: int) -> None:
+    """Reject a key whose events key.counter + [0, n), ``width`` draws each, wrap 2**64."""
+    if key.counter < 0 or (key.counter + n) * width > 1 << 64:
+        raise ValueError(f"counter {key.counter} + {n} events x {width} draws wraps 2**64")
 
 
 class CeilingError(ValueError):
@@ -198,6 +222,7 @@ def sample_pdf(
         ceiling = estimate_ceiling(expr, region)
     if ceiling <= 0:
         raise ValueError("ceiling must be positive")
+    check_span(key, n, _PROPOSAL_BLOCK)
 
     lo = region.lower
     span = region.upper - region.lower

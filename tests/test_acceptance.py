@@ -21,8 +21,8 @@ import scipy.stats
 
 import hepkit as hk
 from hepkit.cli import main as cli_main
-from hepkit.fitting import FitStatus, _poisson_count, generate_model_sample
-from hepkit.rng import gaussian_array
+from hepkit.fitting import FitStatus, generate_model_sample
+from hepkit.rng import gaussian_array, poisson_deviate
 from toymodel import build_model, truth_for
 
 CORES = os.cpu_count() or 1
@@ -218,7 +218,7 @@ def test_criterion_3_pull_calibration():
     failed_fits = 0
     for t in range(n_toys):
         model = build_model(scale=0.2)
-        key = hk.RngKey(6, 2, counter=t << 40)
+        key = hk.RngKey(6, 2).child(t)
         sample = generate_model_sample(model, key)
         result = hk.fit(model, sample, ["x0"])
         if result.status is not FitStatus.CONVERGED:
@@ -291,9 +291,9 @@ def test_criterion_4_splot_identities():
     parts = []
     controls = []
     for c, (y, pdf) in enumerate(model.components):
-        count = _poisson_count(y.value, key, c)
-        comp_key = key.offset((c + 1) << 32)
-        parts.append(hk.sample_pdf(pdf.shape, pdf.region, count, comp_key))
+        comp_key = key.child(c)    # as generate_model_sample keys component c
+        count = poisson_deviate(comp_key.child(0), y.value)
+        parts.append(hk.sample_pdf(pdf.shape, pdf.region, count, comp_key.child(1)))
         ctrl_key = hk.RngKey(9, 2, counter=(c + 1) << 33)
         z = gaussian_array(ctrl_key, np.arange(count, dtype=np.uint64))
         controls.append(z if c == 0 else 1.5 + 1.2 * z)

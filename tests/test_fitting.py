@@ -358,6 +358,16 @@ class TestGenerateModelSample:
         b = generate_model_sample(model, hk.RngKey(66, 2), workers=8)
         assert np.array_equal(a.column("x0"), b.column("x0"))
 
+    @pytest.mark.parametrize("toy_key", [
+        lambda t: hk.RngKey(6, 2).child(t),          # as ``hepkit toys`` keys toy t
+        lambda t: hk.RngKey(6, 2, counter=t << 40),  # toy counters that once wrapped
+    ])
+    def test_toys_0_and_256_share_no_event(self, toy_key):
+        model = build_model(scale=0.2)
+        a, b = (generate_model_sample(model, toy_key(t)).column("x0") for t in (0, 256))
+        assert len(a) > 9000 and len(b) > 9000
+        assert np.intersect1d(a, b).size == 0
+
 
 # ---------------------------------------------------------------------------
 # the fused likelihood pass against the density-then-log pass it replaced

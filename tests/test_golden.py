@@ -20,8 +20,7 @@ import pytest
 
 import hepkit as hk
 from hepkit.cli import build_integrand
-from hepkit.fitting import generate_model_sample
-from hepkit.parallel import CHUNK, EVAL_BATCH
+from hepkit.rng import raw64
 from toymodel import build_model
 
 WORKERS = (1, 2, 8)
@@ -55,8 +54,9 @@ GOLDEN = {
         "0x1.2a0cdb12e0c04p+15", "-0x1.f91f19e79b84cp+12", "-0x1.f91f19e79b84bp+12",
         "0x1.9de0eb67061dep+15",
     ],
-    "phsp_moving_sha256": "22faff2cde380fb36c5b896d142d97637ab42478833980d03645410a710eeba6",
-    "decay_chain_sha256": "4db28a6cd3488723667c14c7736326cf7b5b6208be1a6b480f98cd9a52eea5af",
+    # both digests follow the rounding of lambda in ``kinematics.breakup``
+    "phsp_moving_sha256": "b85f7825b346c8dbb539586a5dd8afd7d2845d0a6974ac6acde84d80e1240228",
+    "decay_chain_sha256": "de9c55484b61980c74ecae1a81603cace777c62e183048b45d68a0137f3b4907",
 }
 
 # The parameters V is computed at: this toy's fit as the Nelder-Mead
@@ -86,15 +86,15 @@ def _integrand():
 
 
 def plain_mc_golden(workers: int) -> list[str]:
-    # two batches, the second ending mid-chunk
+    # a 65 536-call batch and a second one ending mid-chunk
     r = hk.plain_mc(_integrand(), hk.BoundedRegion.cube(0.0, 1.0, 3),
-                    EVAL_BATCH + 3 * CHUNK + 123, hk.RngKey(5, stream=3), workers=workers)
+                    77_947, hk.RngKey(5, stream=3), workers=workers)
     return _hex([r.value, r.error])
 
 
 def vegas_golden(workers: int) -> list[str]:
     r, grid = hk.vegas(_integrand(), hk.BoundedRegion.cube(0.0, 1.0, 3),
-                       EVAL_BATCH + 1001, hk.RngKey(6, stream=3),
+                       66_537, hk.RngKey(6, stream=3),
                        iterations=5, bins=10, workers=workers)
     return _hex([r.value, r.error, r.chi2_per_dof]) + _hex(np.concatenate(grid.edges))
 
@@ -110,16 +110,30 @@ def _m12sq(cols):
 def phsp_average_golden(workers: int) -> list[str]:
     spec = hk.DecaySpec(1.0, (0.1, 0.2, 0.3))
     block = hk.phsp_generate(spec, hk.FourVector.at_rest(1.0),
-                             EVAL_BATCH + 2 * CHUNK + 77, hk.RngKey(24, 1))
+                             73_805, hk.RngKey(24, 1))
     r = hk.phsp_average(hk.identity(), block, _m12sq, workers=workers)
     return _hex([r.value, r.error])
 
 
 def _splot_toy():
-    """A two-batch Gaussian+exponential sample and its model."""
+    """A two-batch Gaussian+exponential sample and its model.
+
+    The sample is drawn as ``generate_model_sample`` drew it before its keys
+    became ``RngKey.child`` keys: component c's count from a numpy Philox
+    keyed by two hepkit words, its events at counter (c + 1) << 32.  The
+    recorded values are of this sample.
+    """
     model = build_model(scale=1.5)
-    data = generate_model_sample(model, hk.RngKey(71, 2), workers=2)
-    return model, data
+    key = hk.RngKey(71, 2)
+    parts = []
+    for c, (y, pdf) in enumerate(model.components):
+        words = raw64(key, np.arange(2, dtype=np.uint64) + np.uint64(2 * c))
+        gen = np.random.Generator(np.random.Philox(key=[int(words[0]), int(words[1])]))
+        count = int(gen.poisson(y.value))
+        part = hk.sample_pdf(pdf.shape, pdf.region, count, key.at((c + 1) << 32), workers=2)
+        parts.append(part.column("x0"))
+    return model, hk.ColumnStore.from_columns(hk.ColumnSchema.real64("x0"),
+                                              [np.concatenate(parts)])
 
 
 def fit_params_golden(model, data, workers: int) -> list[str]:
@@ -169,7 +183,7 @@ def test_phsp_average(workers):
 
 def test_fit_and_splot_matrix():
     model, data = _splot_toy()
-    assert len(data) > EVAL_BATCH
+    assert len(data) > 65_536
     assert fit_params_golden(model, data, 1) == GOLDEN["fit_params"]
     for workers in WORKERS:
         assert splot_V_golden(model, data, workers) == GOLDEN["splot_V"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hepkit as hk
-from hepkit.kinematics import BelowThreshold, NonPhysical, boost
+from hepkit.kinematics import BelowThreshold, NonPhysical, boost, breakup
 
 
 class TestInvariantMass:
@@ -70,6 +70,21 @@ class TestBreakupMomentum:
     def test_below_threshold_raises(self):
         with pytest.raises(BelowThreshold):
             hk.breakup_momentum(0.9, 0.5, 0.5)
+
+    def test_is_the_array_core_on_one_element(self):
+        # phase space runs the core on columns; it must give the checked
+        # scalar's bits, be bitwise symmetric in the daughters, and be 0
+        # at threshold
+        rng = np.random.default_rng(12)
+        m1, m2 = rng.uniform(0.0, 0.4, size=(2, 1000))
+        M = m1 + m2 + rng.uniform(0.01, 2.0, size=1000)
+        core = breakup(M, m1, m2)
+        assert np.array_equal(core, breakup(M, m2, m1))
+        assert [float(p).hex() for p in core] == [
+            hk.breakup_momentum(*args).hex() for args in zip(M, m1, m2)
+        ]
+        assert np.all(breakup(np.array([1.0, 0.7, 2.0]), np.array([0.5, 0.3, 1.5]),
+                              np.array([0.5, 0.4, 0.5])) == 0.0)
 
 
 def _random_timelike(rng):

@@ -84,6 +84,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match="does not match"):
             hk.phsp_generate(spec, hk.FourVector.at_rest(1.1), 10, hk.RngKey(6, 1))
 
+    def test_key_that_would_wrap_is_rejected(self):
+        # a 3-body event owns 5 counters: events from 2**64 // 5 on wrap
+        spec = hk.DecaySpec(1.0, (0.1, 0.1, 0.1))
+        mother = hk.FourVector.at_rest(1.0)
+        last = (1 << 64) // 5
+        hk.phsp_generate(spec, mother, 10, hk.RngKey(6, 1, counter=last - 10))
+        for counter in (last - 9, -1):
+            with pytest.raises(ValueError, match=r"wraps 2\*\*64$"):
+                hk.phsp_generate(spec, mother, 10, hk.RngKey(6, 1, counter=counter))
+
     def test_worker_count_bitwise_invariance(self):
         spec = hk.DecaySpec(1.0, (0.1, 0.1, 0.1))
         mother = hk.FourVector.at_rest(1.0)

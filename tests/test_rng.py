@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import hepkit as hk
-from hepkit.rng import CeilingError, uniform_array
+from hepkit import rng
+from hepkit.rng import CeilingError, poisson_deviate, uniform_array
 
 
 class TestUniform:
@@ -38,6 +40,63 @@ class TestUniform:
         direct = hk.uniform(key.at(1000))
         shifted = uniform_array(key.at(990), np.array([10], dtype=np.uint64))[0]
         assert direct == shifted
+
+
+class TestChildKeys:
+    def test_same_stream_at_counter_zero(self):
+        key = hk.RngKey(5, stream=3, counter=17)
+        child = key.child(4)
+        assert (child.stream, child.counter) == (3, 0)
+        assert child == key.child(4) and child.seed != key.seed
+
+    def test_injective_in_tag_and_in_counter(self):
+        key = hk.RngKey(6, 2)
+        assert len({key.child(t).seed for t in range(5000)}) == 5000
+        assert len({key.at(c).child(1).seed for c in range(5000)}) == 5000
+        # counters that wrap a multiplied layout, as t << 40 times 2**16 did
+        assert len({key.at(t << 40).child(0).seed for t in range(1024)}) == 1024
+
+    def test_toy_and_cli_keys_start_2_32_apart(self):
+        # A key's draws are mix(base + counter * G), so counter c of the key at
+        # position base * G^-1 (mod 2**64) is the state at position + c.  These
+        # 4005 keys (1000 toys x 2 components x count/sample, plus the five
+        # CLI streams) are pairwise at least 2**32 positions apart, so each
+        # can draw 2**32 counters without meeting another.  N uniformly
+        # random positions fail this with probability about
+        # N (N - 1) 2**32 / 2**64 = 3.7e-3; these are fixed, so it passes or
+        # fails deterministically.
+        g_inv = pow(int(rng._GOLDEN), -1, 1 << 64)
+        toys = [hk.RngKey(6, 2).child(t).child(c).child(k)
+                for t in range(1000) for c in range(2) for k in range(2)]
+        keys = toys + [hk.RngKey(6, s) for s in range(5)]
+        pos = sorted(int(rng._base(k.seed, k.stream)) * g_inv % (1 << 64) for k in keys)
+        gaps = [b - a for a, b in zip(pos, pos[1:] + [pos[0] + (1 << 64)])]
+        assert len(keys) == 4005 and min(gaps) >= 1 << 32
+
+
+class TestPoissonDeviate:
+    def test_zero_mean_gives_zero(self):
+        assert {poisson_deviate(hk.RngKey(1).child(i), 0.0) for i in range(100)} == {0}
+
+    @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
+    def test_rejects_a_bad_mean(self, lam):
+        with pytest.raises(ValueError, match="Poisson mean"):
+            poisson_deviate(hk.RngKey(1), lam)
+
+    @pytest.mark.parametrize("lam, n", [(0.5, 20_000), (7.0, 20_000), (4000.0, 4000)])
+    def test_chi2_goodness_of_fit(self, lam, n):
+        # n draws, one child key each, binned at up to 20 Poisson quantiles;
+        # each of the three tests fails a correct draw with probability
+        # alpha = 1e-3 / 3, so 1e-3 over all three
+        key = hk.RngKey(2026, stream=0)
+        k = np.array([poisson_deviate(key.child(i), lam) for i in range(n)])
+        edges = np.unique(scipy.stats.poisson.ppf(np.linspace(0, 1, 21)[1:-1], lam))
+        cdf = np.append(scipy.stats.poisson.cdf(edges, lam), 1.0)
+        expected = n * np.diff(np.insert(cdf, 0, 0.0))
+        observed = np.bincount(np.searchsorted(edges, k), minlength=len(expected))
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert np.min(expected) >= 5
+        assert scipy.stats.chi2.sf(stat, len(expected) - 1) > 1e-3 / 3
 
 
 class TestGaussianDeviate:
@@ -112,6 +171,15 @@ class TestSamplePdf:
         ecdf_lo = np.arange(0, n) / n
         dist = max(float(np.max(ecdf_hi - cdf)), float(np.max(cdf - ecdf_lo)))
         assert dist < 1.63 / math.sqrt(n)
+
+    def test_key_that_would_wrap_is_rejected(self):
+        # each event owns 2**16 proposal counters: events from 2**48 on wrap
+        flat = hk.wrap_closure(lambda x, p: np.ones_like(np.asarray(x[0], dtype=float)))
+        region = hk.BoundedRegion(((0.0, 1.0),))
+        hk.sample_pdf(flat, region, 10, hk.RngKey(3, 0, counter=(1 << 48) - 10), ceiling=1.0)
+        for counter in ((1 << 48) - 9, 1 << 48, -1):
+            with pytest.raises(ValueError, match=r"wraps 2\*\*64$"):
+                hk.sample_pdf(flat, region, 10, hk.RngKey(3, 0, counter=counter), ceiling=1.0)
 
     def test_dimension_mismatch(self):
         g = hk.shape_gaussian(hk.Parameter("mean", 0.0), hk.Parameter("sigma", 1.0))
