@@ -813,13 +813,15 @@ def numeric_errors(
 # ---------------------------------------------------------------------------
 # full fit with yield refinement
 
+_POLISH_TOL = 1e-12        # the yield polish's gradient target
+_POLISH_ITERATIONS = 40    # and its Newton step budget
+
+
 def _polish_yields(
     model: ExtendedModel,
     store: ColumnStore,
     observable_columns: Sequence[str],
     workers: int | None,
-    tol: float = 1e-12,
-    max_iter: int = 40,
 ) -> None:
     """Newton-refine the free yields to the exact stationary point of the
     extended NLL (shape parameters held where the minimizer left them).
@@ -831,12 +833,12 @@ def _polish_yields(
     if not free:
         return
     last = math.inf
-    for _ in range(max_iter):
+    for _ in range(_POLISH_ITERATIONS):
         _, grad, hess = _likelihood_pass(
             model, store, observable_columns, workers, free, outer=True
         )
         worst = float(np.max(np.abs(grad)))
-        if worst < tol or worst >= last:
+        if worst < _POLISH_TOL or worst >= last:
             break
         last = worst
         try:
@@ -858,7 +860,6 @@ def fit(
     observable_columns: Sequence[str],
     workers: int | None = 1,
     max_iterations: int = 2000,
-    tolerance: float = EDM_TOLERANCE,
 ) -> FitResult:
     """Extended maximum-likelihood fit of yields and shape parameters.
 
@@ -883,7 +884,6 @@ def fit(
     result = minimize(
         objective, params,
         max_iterations=max_iterations,
-        tolerance=tolerance,
         compute_errors=False,
         gradient=gradient,
     )

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .kinematics import Parameter
-from .parallel import EVAL_BATCH, run_batches
+from .parallel import run_batches
 from .store import ColumnStore
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -521,6 +521,6 @@ def map_evaluate(
     def batch(a: int, b: int) -> None:
         out[a:b] = expr.eval(tuple(c[a:b] for c in cols))
 
-    run_batches(batch, len(store), workers, batch=EVAL_BATCH)
+    run_batches(batch, len(store), workers)
     out.flags.writeable = False
     return out

@@ -17,7 +17,8 @@ import numpy as np
 
 from .functors import EvaluationError, FunctorExpr
 from .parallel import CHUNK, chunk_sums, fold, run_batches
-from .rng import BoundedRegion, RngKey, uniform_array
+# uniform_array is unused here; perfbench/tracer.py rebinds integrate.uniform_array
+from .rng import BoundedRegion, RngKey, check_span, event_uniforms, uniform_array
 
 
 @dataclass
@@ -27,10 +28,6 @@ class IntegrationResult:
     iterations: int = 1
     chi2_per_dof: float = 0.0
     calls_used: int = 0
-
-    @property
-    def converged(self) -> bool:
-        return math.isfinite(self.value) and math.isfinite(self.error)
 
 
 class DegenerateGridError(ValueError):
@@ -57,22 +54,21 @@ def plain_mc(
 ) -> IntegrationResult:
     """V * mean(f) with error V * stddev(f) / sqrt(calls) over uniform draws.
 
-    Call i consumes counters [i*dim, (i+1)*dim), so the estimate does not
-    depend on how calls are split across workers.
+    Call i is event i of ``key``, so the estimate does not depend on how
+    calls are split across workers.
     """
     if calls < 2:
-        raise ValueError("plain_mc needs at least 2 calls")
+        raise ValueError(f"plain_mc needs at least 2 calls, got {calls}")
     d = region.dim
     if expr.arity != d:
         raise ValueError(f"expression consumes {expr.arity} arguments, region has {d}")
     lo = region.lower
     span = region.upper - region.lower
     volume = region.volume()
+    check_span(key, calls, d)
 
     def batch(a: int, b: int) -> np.ndarray:
-        idx = np.arange(a, b, dtype=np.uint64)
-        counters = (idx[:, None] * np.uint64(d) + np.arange(d, dtype=np.uint64)[None, :])
-        u = uniform_array(key, counters.ravel()).reshape(b - a, d)
+        u = event_uniforms(key, np.arange(a, b), d)
         pts = tuple(lo[k] + u[:, k] * span[k] for k in range(d))
         vals = np.asarray(expr.eval(pts), dtype=float)
         _check_finite(vals, pts)
@@ -81,13 +77,7 @@ def plain_mc(
     total, total_sq = fold(run_batches(batch, calls, workers)).tolist()
     mean = total / calls
     var = max(total_sq / calls - mean * mean, 0.0)
-    return IntegrationResult(
-        value=volume * mean,
-        error=volume * math.sqrt(var / calls),
-        iterations=1,
-        chi2_per_dof=0.0,
-        calls_used=calls,
-    )
+    return IntegrationResult(volume * mean, volume * math.sqrt(var / calls), calls_used=calls)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +173,6 @@ def gk_adaptive(
         value=math.fsum(item[4] for item in heap),
         error=math.fsum(item[5] for item in heap),
         iterations=len(heap),
-        chi2_per_dof=0.0,
         calls_used=calls,
     )
 
@@ -282,36 +271,30 @@ def vegas(
     separable grid density, accumulates an estimate with its variance and
     per-bin contributions, then refines the grid.  Iterations are combined
     by inverse-variance weighting; chi2_per_dof reports their mutual
-    consistency.  Grid refinement runs serially between iterations; the
-    sampling inside an iteration is deterministic for any worker count.
+    consistency.  Call i of iteration it is event it * calls + i of
+    ``key``, so the sampling is deterministic for any worker count; grid
+    refinement runs serially between iterations.
     """
     d = region.dim
+    calls = calls_per_iteration
     if expr.arity != d:
         raise ValueError(f"expression consumes {expr.arity} arguments, region has {d}")
-    if calls_per_iteration < 2 * bins * d:
+    if calls < 2 * bins * d:
         raise ValueError(
-            f"calls_per_iteration must be >= 2*bins*dims = {2 * bins * d}"
-        )
+            f"calls_per_iteration must be >= 2*bins*dims = {2 * bins * d}, got {calls}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    check_span(key, iterations * calls, d)
     grid = VegasGrid.uniform(region, bins)
     estimates: list[tuple[float, float]] = []
     negatives = 0.0
-    calls = calls_per_iteration
 
     for it in range(iterations):
         edges = [grid.edges[k].copy() for k in range(d)]
         widths = [np.diff(e) for e in edges]
-        it_base = it * calls * d
 
         def batch(a: int, b: int):
-            idx = np.arange(a, b, dtype=np.uint64)
-            counters = (
-                idx[:, None] * np.uint64(d)
-                + np.arange(d, dtype=np.uint64)[None, :]
-                + np.uint64(it_base)
-            )
-            u = uniform_array(key, counters.ravel()).reshape(b - a, d)
+            u = event_uniforms(key, np.arange(it * calls + a, it * calls + b), d)
             z = u * bins
             bidx = np.minimum(z.astype(np.int64), bins - 1)
             frac = z - bidx

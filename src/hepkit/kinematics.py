@@ -105,10 +105,6 @@ class Parameter:
         self._check_bounds(value)
         self.value = float(value)
 
-    @property
-    def bounded(self) -> bool:
-        return self.lower is not None or self.upper is not None
-
 
 def invariant_mass(v: FourVector) -> float:
     """sqrt(e^2 - |p|^2); NonPhysical when the metric is space-like."""

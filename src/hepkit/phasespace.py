@@ -30,8 +30,9 @@ from .kinematics import (
     breakup_momentum,
     invariant_mass,
 )
-from .parallel import EVAL_BATCH, chunk_sums, fold, run_batches
-from .rng import RngKey, check_span, uniform_array, _u64
+from .parallel import chunk_sums, fold, run_batches
+# uniform_array is unused here; perfbench/tracer.py rebinds phasespace.uniform_array
+from .rng import RngKey, check_span, event_uniforms, uniform_array
 from .store import ColumnSchema, ColumnStore
 
 
@@ -46,6 +47,10 @@ class DecaySpec:
         object.__setattr__(self, "daughter_masses", tuple(float(m) for m in self.daughter_masses))
         if len(self.daughter_masses) < 2:
             raise ValueError("a decay needs at least two daughters")
+        for k, m in enumerate((self.mother_mass,) + self.daughter_masses):
+            if not math.isfinite(m):
+                name = f"daughter {k}" if k else "mother"
+                raise ValueError(f"{name} mass {m!r} is not finite")
         if any(m < 0 for m in self.daughter_masses):
             raise ValueError("daughter masses must be non-negative")
         if not self.mother_mass > sum(self.daughter_masses):
@@ -89,10 +94,9 @@ def _generate_rest_frame(
     def batch(a: int, b: int) -> None:
         m_ev = b - a
         ev = np.arange(a, b, dtype=np.uint64)
-        base = (ev + _u64(key.counter)) * np.uint64(D)
 
         def draw(offset: int) -> np.ndarray:
-            return uniform_array(key.at(0), base + np.uint64(offset))
+            return event_uniforms(key, ev, D, offset, 1)[:, 0]
 
         # intermediate invariant masses from sorted uniforms
         rno = np.empty((m_ev, n))
@@ -141,7 +145,7 @@ def _generate_rest_frame(
             comps[4 * j + 2][a:b] = py[j]
             comps[4 * j + 3][a:b] = pz[j]
 
-    run_batches(batch, n_events, workers, batch=EVAL_BATCH)
+    run_batches(batch, n_events, workers)
     return weight, comps
 
 
@@ -206,13 +210,13 @@ def phsp_unweight(
         j = int(np.argmax(over))
         raise ValueError(f"event {j} weight {w[j]!r} exceeds w_max {w_max!r}")
     n = len(block)
+    check_span(key, n, 1)
     accept = np.empty(n, dtype=bool)
 
     def batch(a: int, b: int) -> None:
-        u = uniform_array(key, np.arange(a, b, dtype=np.uint64))
-        accept[a:b] = u * w_max < w[a:b]
+        accept[a:b] = event_uniforms(key, np.arange(a, b), 1)[:, 0] * w_max < w[a:b]
 
-    run_batches(batch, n, workers, batch=EVAL_BATCH)
+    run_batches(batch, n, workers)
     cols = [block.column(name)[accept] for name in block.schema.names[1:]]
     return ColumnStore.from_columns(block.schema, [np.ones(len(cols[0]))] + cols)
 
@@ -307,10 +311,4 @@ def phsp_average(
         raise ValueError("total weight is not positive")
     mu = swf / sw
     spread = max(sw2f2 - 2.0 * mu * sw2f + mu * mu * sw2, 0.0)
-    return IntegrationResult(
-        value=mu,
-        error=math.sqrt(spread) / sw,
-        iterations=1,
-        chi2_per_dof=0.0,
-        calls_used=n,
-    )
+    return IntegrationResult(mu, math.sqrt(spread) / sw, calls_used=n)

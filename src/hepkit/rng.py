@@ -12,15 +12,20 @@ The concrete bijection is a SplitMix64-style sequence: the keyed state
 avalanche finalizer.  That sequence is a well-tested generator in its own
 right; stream separation comes from hashing the stream id into the base.
 
-Stream ids used by the command-line tools:
+Stream ids used by the command-line tools, and their bulk calls (events x width):
 
-====  =========================
-  0   p.d.f. sampling
-  1   phase-space generation
-  2   toy studies
-  3   integration
-  4   unweighting
-====  =========================
+====  ======================  ===========================================
+  0   p.d.f. sampling         sample_pdf: accepted points x 2**16
+  1   phase-space generation  phsp_generate, phsp_decay_chain: decays x draws per decay
+  2   toy studies             poisson_deviate: gaps x 1; then sample_pdf
+  3   integration             plain_mc: calls x dim; vegas: it * calls + call x dim
+  4   unweighting             phsp_unweight: decays x 1
+====  ======================  ===========================================
+
+One rule addresses every bulk draw: event e of a call at ``key`` owns the
+counters (key.counter + e) * width + [0, width).  A call checks its span
+once (``check_span``) and draws only through ``event_uniforms``, so the key
+at counter k draws events k, k + 1, ... of the key at counter 0.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .parallel import EVAL_BATCH, run_batches
+from .parallel import run_batches
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -50,8 +55,8 @@ class RngKey:
     """Addressable randomness: (seed, stream, counter) -> deviate.
 
     ``seed`` is the user-level reproducibility knob, ``stream`` separates
-    independent subsystems, ``counter`` indexes the draw (or acts as a base
-    offset for bulk operations).
+    independent subsystems, ``counter`` indexes the draw (or names the
+    first event of a bulk call).
     """
 
     seed: int
@@ -151,11 +156,13 @@ def gaussian_array(key: RngKey, indices: np.ndarray) -> np.ndarray:
 
 def poisson_deviate(key: RngKey, lam: float) -> int:
     """Poisson(lam) deviate: the arrivals before time ``lam`` of a unit-rate
-    process whose gaps are exponential deviates at counters 0, 1, ...; lam +
+    process whose gaps are exponential deviates at events 0, 1, ...; lam +
     12 sqrt(lam) + 12 gaps fall short of lam with probability < 1e-30."""
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {lam!r}")
-    gaps = -np.log1p(-uniform_array(key, np.arange(int(lam + 12.0 * math.sqrt(lam) + 12.0))))
+    n = int(lam + 12.0 * math.sqrt(lam) + 12.0)
+    check_span(key, n, 1)
+    gaps = -np.log1p(-event_uniforms(key, np.arange(n), 1)[:, 0])
     return int(np.searchsorted(np.cumsum(gaps), lam))
 
 
@@ -165,9 +172,22 @@ def gaussian_deviate(key: RngKey) -> float:
 
 
 def check_span(key: RngKey, n: int, width: int) -> None:
-    """Reject a key whose events key.counter + [0, n), ``width`` draws each, wrap 2**64."""
+    """Reject n < 0, or events key.counter + [0, n) of ``width`` draws that wrap 2**64."""
+    if n < 0:
+        raise ValueError(f"event count {n} is negative")
     if key.counter < 0 or (key.counter + n) * width > 1 << 64:
         raise ValueError(f"counter {key.counter} + {n} events x {width} draws wraps 2**64")
+
+
+def event_uniforms(
+    key: RngKey, events: np.ndarray, width: int, first: int = 0, count: int | None = None
+) -> np.ndarray:
+    """Uniform draws ``first .. first + count`` (default: to ``width``) of
+    each event as a (len(events), count) array; event e owns the counters
+    (key.counter + e) * width + [0, width).  The caller checks the span."""
+    start = (np.asarray(events, dtype=np.uint64) + _u64(key.counter)) * np.uint64(width)
+    offsets = np.arange(first, width if count is None else first + count, dtype=np.uint64)
+    return uniform_array(key.at(0), start[:, None] + offsets)
 
 
 class CeilingError(ValueError):
@@ -187,9 +207,10 @@ def _quasi_points(region: BoundedRegion, n: int) -> np.ndarray:
     return region.lower[None, :] + u * (region.upper - region.lower)[None, :]
 
 
-def estimate_ceiling(expr, region: BoundedRegion, scan: int = 10_000) -> float:
-    """1.1 x the max of ``expr`` over a deterministic quasi-random scan."""
-    pts = _quasi_points(region, scan)
+def estimate_ceiling(expr, region: BoundedRegion) -> float:
+    """1.1 x the max of ``expr`` over a deterministic 10 000-point
+    quasi-random scan."""
+    pts = _quasi_points(region, 10_000)
     vals = np.asarray(expr.eval(tuple(pts[:, k] for k in range(region.dim))))
     m = float(np.max(vals))
     if not np.isfinite(m) or m <= 0.0:
@@ -207,11 +228,12 @@ def sample_pdf(
 ):
     """Draw ``n`` points distributed proportionally to ``expr`` on ``region``.
 
-    Accept-reject with uniform proposals.  Accepted event j is produced
-    entirely from its own counter block (key.counter + j), so the output is
-    independent of the worker count.  A proposal where the density exceeds
-    ``ceiling`` aborts with :class:`CeilingError` naming the point; when
-    ``ceiling`` is None it is estimated from a quasi-random scan.
+    Accept-reject with uniform proposals.  Event j is produced entirely
+    from its own 2**16 draws, proposal t taking draws t (d + 1) ..
+    t (d + 1) + d, so the output is independent of the worker count.  A
+    proposal where the density exceeds ``ceiling`` aborts with
+    :class:`CeilingError` naming the point; when ``ceiling`` is None it is
+    estimated from a quasi-random scan.
     """
     from .store import ColumnSchema, ColumnStore  # local import to avoid a cycle
 
@@ -235,12 +257,7 @@ def sample_pdf(
         for t in range(max_rounds):
             if active.size == 0:
                 return
-            base = (active + _u64(key.counter)) * np.uint64(_PROPOSAL_BLOCK)
-            base = base + np.uint64(t * (d + 1))
-            u = np.stack(
-                [uniform_array(key.at(0), base + np.uint64(k)) for k in range(d + 1)],
-                axis=1,
-            )
+            u = event_uniforms(key, active, _PROPOSAL_BLOCK, t * (d + 1), d + 1)
             pts = lo[None, :] + u[:, :d] * span[None, :]
             vals = np.asarray(expr.eval(tuple(pts[:, k] for k in range(d))), dtype=float)
             over = vals > ceiling
@@ -261,6 +278,6 @@ def sample_pdf(
             f"for some events (ceiling {ceiling!r})"
         )
 
-    run_batches(fill, n, workers, batch=EVAL_BATCH)
+    run_batches(fill, n, workers)
     schema = ColumnSchema.real64(*(f"x{k}" for k in range(d)))
     return ColumnStore.from_columns(schema, cols)

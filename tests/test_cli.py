@@ -34,6 +34,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    @pytest.mark.parametrize("mother, masses, events, error", [
+        ("inf", "0.5,1.0", "3", "mother mass inf is not finite"),
+        ("5.0", "nan,1.0", "3", "daughter 1 mass nan is not finite"),
+        ("5.0", "0.5,1.0", "-3", "event count -3 is negative"),
+    ])
+    def test_phsp_input_rejected_in_one_line(self, capsys, mother, masses, events, error):
+        code = run_cli("phsp", "--mother-mass", mother, "--masses", masses,
+                       "--events", events, "--seed", "1")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [
+            f"error: {error}"
+        ]
+
     def test_success(self, tmp_path):
         out = tmp_path / "ev.csv"
         code = run_cli("phsp", "--mother-mass", "1.0", "--masses", "0.1,0.1,0.1",

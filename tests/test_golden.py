@@ -3,7 +3,8 @@
 The worker-invariance tests elsewhere compare one worker count with
 another, so a rounding change that moves every count alike passes them.
 These pin the results of the reductions (plain MC, VEGAS, the phase-space
-average, the fit and the sPlot matrix) and of the boost core, as hex
+average, the fit and the sPlot matrix), of the boost core and of 5-body
+generation, as hex
 floats or a digest of the raw column bytes.  All but the sPlot matrix
 (see ``SPLOT_V_LOOP``) are the values of the per-chunk loop reductions
 that ``parallel.chunk_sums`` and ``parallel.fold`` replaced.
@@ -57,6 +58,8 @@ GOLDEN = {
     # both digests follow the rounding of lambda in ``kinematics.breakup``
     "phsp_moving_sha256": "b85f7825b346c8dbb539586a5dd8afd7d2845d0a6974ac6acde84d80e1240228",
     "decay_chain_sha256": "de9c55484b61980c74ecae1a81603cace777c62e183048b45d68a0137f3b4907",
+    # three sorted mass draws per event, across a batch boundary
+    "phsp_five_body_sha256": "409ee032d02592a4cf0ff2d5237f362ee70afb3f5d65bdd90996e86af7392004",
 }
 
 # The parameters V is computed at: this toy's fit as the Nelder-Mead
@@ -166,6 +169,12 @@ def decay_chain_golden(workers: int) -> str:
     return _digest(hk.phsp_decay_chain(block, 2, sub, hk.RngKey(42, 1), workers=workers))
 
 
+def phsp_five_body_golden(workers: int) -> str:
+    spec = hk.DecaySpec(5.0, (0.1, 0.2, 0.3, 0.4, 0.5))
+    return _digest(hk.phsp_generate(spec, hk.FourVector.at_rest(5.0), 70_000,
+                                    hk.RngKey(43, 1), workers=workers))
+
+
 @pytest.mark.parametrize("workers", WORKERS)
 def test_plain_mc(workers):
     assert plain_mc_golden(workers) == GOLDEN["plain_mc"]
@@ -195,3 +204,8 @@ def test_fit_and_splot_matrix():
 def test_boosted_generation(workers):
     assert phsp_moving_golden(workers) == GOLDEN["phsp_moving_sha256"]
     assert decay_chain_golden(workers) == GOLDEN["decay_chain_sha256"]
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_five_body_generation(workers):
+    assert phsp_five_body_golden(workers) == GOLDEN["phsp_five_body_sha256"]

@@ -29,6 +29,16 @@ class TestDecaySpec:
         with pytest.raises(ValueError):
             hk.DecaySpec(1.0, (0.5,))
 
+    @pytest.mark.parametrize("mother, daughters, message", [
+        (math.inf, (0.5, 1.0), "mother mass inf is not finite"),
+        (math.nan, (0.5, 1.0), "mother mass nan is not finite"),
+        (5.0, (math.nan, 1.0), "daughter 1 mass nan is not finite"),
+        (5.0, (0.5, 1.0, math.inf), "daughter 3 mass inf is not finite"),
+    ])
+    def test_non_finite_mass_rejected(self, mother, daughters, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hk.DecaySpec(mother, daughters)
+
 
 class TestGenerate:
     def test_two_body_weight_is_constant(self):

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -185,3 +187,145 @@ class TestSamplePdf:
         g = hk.shape_gaussian(hk.Parameter("mean", 0.0), hk.Parameter("sigma", 1.0))
         with pytest.raises(ValueError):
             hk.sample_pdf(g, hk.BoundedRegion.cube(0, 1, 2), 10, hk.RngKey(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# one counter-addressing rule: event e of a bulk call at ``key`` owns the
+# counters (key.counter + e) * width + [0, width)
+
+def _flat(x, p):
+    return np.ones_like(np.asarray(x[0], dtype=float))
+
+
+_UNIT = hk.BoundedRegion(((0.0, 1.0),))
+_SPEC = hk.DecaySpec(3.0, (0.5, 1.0, 0.2))
+
+
+def _chain(key, n):
+    block = hk.phsp_generate(_SPEC, hk.FourVector.at_rest(3.0), 5, hk.RngKey(1, 1))
+    return hk.phsp_decay_chain(block, 2, hk.DecaySpec(1.0, (0.2, 0.3)), key)
+
+
+def _unweight(key, n):
+    block = hk.phsp_generate(_SPEC, hk.FourVector.at_rest(3.0), 5, hk.RngKey(1, 1))
+    return hk.phsp_unweight(block, hk.phsp_max_weight(_SPEC), key)
+
+
+# each bulk entry as a call of (key, event count); the two that decay a
+# fixed 5-event block have no count of their own to make negative
+BULK = {
+    "plain_mc": lambda key, n: hk.plain_mc(hk.wrap_closure(_flat), _UNIT, n, key),
+    "vegas": lambda key, n: hk.vegas(hk.wrap_closure(_flat), _UNIT, n, key,
+                                     iterations=2, bins=1),
+    "sample_pdf": lambda key, n: hk.sample_pdf(hk.wrap_closure(_flat), _UNIT, n, key,
+                                               ceiling=1.0),
+    "phsp_generate": lambda key, n: hk.phsp_generate(_SPEC, hk.FourVector.at_rest(3.0),
+                                                     n, key),
+    "phsp_decay_chain": _chain,
+    "phsp_unweight": _unweight,
+    "poisson_deviate": lambda key, n: poisson_deviate(key, float(n)),
+}
+COUNTED = ["plain_mc", "vegas", "sample_pdf", "phsp_generate", "poisson_deviate"]
+WRAPS = r"^counter -?\d+ \+ \d+ events x \d+ draws wraps 2\*\*64$"
+
+
+@pytest.mark.parametrize("entry", sorted(BULK))
+def test_bulk_entry_rejects_a_wrapping_key(entry):
+    BULK[entry](hk.RngKey(9, 1), 10)
+    for counter in ((1 << 64) - 2, -1):
+        with pytest.raises(ValueError, match=WRAPS):
+            BULK[entry](hk.RngKey(9, 1, counter=counter), 10)
+
+
+@pytest.mark.parametrize("entry", COUNTED)
+def test_bulk_entry_rejects_a_negative_count(entry):
+    with pytest.raises(ValueError) as info:
+        BULK[entry](hk.RngKey(9, 1), -3)
+    assert "-3" in str(info.value) and "\n" not in str(info.value)
+
+
+def test_check_span_names_a_negative_count():
+    with pytest.raises(ValueError, match=r"^event count -1 is negative$"):
+        rng.check_span(hk.RngKey(1), -1, 5)
+    rng.check_span(hk.RngKey(1, counter=(1 << 64) // 5 - 3), 3, 5)
+    with pytest.raises(ValueError, match=r"wraps 2\*\*64$"):
+        rng.check_span(hk.RngKey(1, counter=(1 << 64) // 5 - 3), 4, 5)
+
+
+def test_event_uniforms_addresses_event_blocks():
+    key = hk.RngKey(4, 2, counter=7)
+    events = np.array([0, 3, 11])
+    u = rng.event_uniforms(key, events, 6, first=2, count=3)
+    want = uniform_array(key.at(0), (7 + events[:, None]) * 6 + np.arange(2, 5))
+    assert u.shape == (3, 3) and np.array_equal(u, want)
+    assert np.array_equal(rng.event_uniforms(key, events, 6),
+                          rng.event_uniforms(key.at(0), events + 7, 6))
+
+
+K, N = 64_000, 3_000    # the shifted calls cross the 65 536-event batch boundary
+
+
+def test_phsp_generate_at_counter_k_is_events_k_on():
+    mother = hk.FourVector.at_rest(3.0)
+    whole = hk.phsp_generate(_SPEC, mother, K + N, hk.RngKey(8, 1))
+    part = hk.phsp_generate(_SPEC, mother, N, hk.RngKey(8, 1, counter=K), workers=2)
+    for name in whole.schema.names:
+        assert whole.column(name)[K:].tobytes() == part.column(name).tobytes(), name
+
+
+def test_sample_pdf_at_counter_k_is_events_k_on():
+    g = hk.shape_gaussian(hk.Parameter("mean", 0.5), hk.Parameter("sigma", 0.3))
+    region = hk.BoundedRegion(((-2.0, 3.0),))
+    whole = hk.sample_pdf(g, region, K + N, hk.RngKey(8, 0))
+    part = hk.sample_pdf(g, region, N, hk.RngKey(8, 0, counter=K), workers=2)
+    assert whole.column("x0")[K:].tobytes() == part.column("x0").tobytes()
+
+
+def test_phsp_unweight_at_counter_k_is_events_k_on():
+    schema = hk.ColumnSchema.real64("weight", "i")
+    weight = np.random.default_rng(3).uniform(0.0, 1.0, K + N)
+    index = np.arange(K + N, dtype=float)
+    whole = hk.phsp_unweight(hk.ColumnStore.from_columns(schema, [weight, index]),
+                             1.0, hk.RngKey(8, 4))
+    part = hk.phsp_unweight(hk.ColumnStore.from_columns(schema, [weight[K:], index[K:]]),
+                            1.0, hk.RngKey(8, 4, counter=K), workers=2)
+    kept = whole.column("i")
+    assert np.array_equal(kept[kept >= K], part.column("i"))
+    assert 0.4 * N < len(part) < 0.6 * N
+
+
+# Counters are built in rng.py alone: elsewhere in the package a raw
+# primitive call, a counter-0 key or arithmetic on a key's counter is a
+# hand-made counter grid.
+_FORBIDDEN = {
+    "raw primitive": re.compile(r"\b(?:uniform_array|raw64)\("),
+    "counter-0 key": re.compile(r"\.at\(0\)"),
+    "counter arithmetic": re.compile(
+        r"[-+*/%]\s*(?:\w+\()?\w+\.counter\b|\b\w+\.counter\s*\)?\s*[-+*/%]"),
+}
+
+
+def test_guard_patterns_catch_hand_made_counters():
+    lines = [
+        "base = (ev + _u64(key.counter)) * np.uint64(D)",
+        "return uniform_array(key.at(0), base + np.uint64(offset))",
+        "u = uniform_array(key, np.arange(a, b, dtype=np.uint64))",
+        "first = key.counter * width",
+        "words = raw64(key, idx)",
+    ]
+    for line in lines:
+        assert any(p.search(line) for p in _FORBIDDEN.values()), line
+    assert not any(p.search("u = event_uniforms(key, ev, D, offset, 1)[:, 0]")
+                   for p in _FORBIDDEN.values())
+
+
+def test_no_counters_built_outside_rng():
+    src = pathlib.Path(hk.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            found += [f"{path.name}:{n}: {what}: {line.strip()}"
+                      for what, p in _FORBIDDEN.items() if p.search(line)]
+    assert found == []
