@@ -159,6 +159,8 @@ def build_model(
 def build_integrand(name: str, params: dict[str, float], dim: int) -> FunctorExpr:
     """Named integrands for the integrate subcommand; multidimensional
     versions are per-coordinate products sharing one parameter set."""
+    if dim < 1:
+        raise UsageError(f"--dim must be at least 1, got {dim}")
     if name == "gauss":
         mean = Parameter("mean", params.get("mean", 0.5))
         sigma = Parameter("sigma", params.get("sigma", 0.1))
@@ -262,6 +264,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_toys(args) -> int:
+    if args.n < 0:
+        raise UsageError(f"--n must be at least 0, got {args.n}")
     bounds = _parse_range(args.range)
     init = _parse_assignments(args.init)
     fixed = _parse_names(args.fix)

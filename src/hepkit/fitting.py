@@ -27,9 +27,17 @@ second partials the pass instead gives the exact observed Hessian
 
 D the density: the second-derivative term is zero for two yields,
 dpdf_k/dphi for the yield of component k and a shape parameter phi, and
-N_k d2pdf_k for two shape parameters.  A pass of at most one batch
-writes every row it accumulates into its thread's ``parallel.workspace``,
-so the many passes of a small fit reuse that memory.
+N_k d2pdf_k for two shape parameters.
+
+Each kind of pass is one compiled tape (see ``functors``): every
+component's pdf with the partials the pass needs, the rows, the density
+and its log, as a flat list of ufunc calls over one register file.  The
+tape depends only on the structure of the model and of the parameters
+asked for, so the models that ``toys`` builds afresh for every fit share
+one; scalars (yields, norms and their log-derivatives, shape parameters)
+are read once per pass.  A pass of at most one batch keeps its registers
+in its thread's ``parallel.workspace``, so the many passes of a small fit
+allocate no array of the data's size.
 
 Minimization is BFGS, the variable-metric method of Minuit's MIGRAD, over
 internal coordinates in which bounded parameters ride smooth transforms.
@@ -53,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functors import FunctorExpr, ParamSet, pair_key
+from .functors import FunctorExpr, Kernel, ParamSet, Tape, Walk, pair_key, shared
 from .integrate import gk_adaptive, plain_mc
 from .kinematics import Parameter
 from .parallel import CHUNK, EVAL_BATCH, chunk_sums, fold, run_batches, workspace
@@ -84,7 +92,7 @@ class Pdf:
     ``partials`` gives the first partials over the shape parameters and,
     when ``second_order`` is set (a shape with second partials and a
     normalizer with closed-form ``log_second_partials``), the exact second
-    ones too."""
+    ones too.  Both, and ``value``, run the tape of ``emit``."""
 
     def __init__(
         self,
@@ -106,6 +114,7 @@ class Pdf:
         self._log_second_partials: dict[tuple[int, int], float] | None = None
         self.second_order = shape.second_order and hasattr(self._norm_fn, "log_second_partials")
         self.norm_computations = 0    # test hook for the cache contract
+        self._kernels: dict[int, Kernel] = {}
 
     def _numeric_norm(self, region: BoundedRegion) -> float:
         if region.dim == 1:
@@ -160,52 +169,84 @@ class Pdf:
             out[id(p)] = (up - down) / (2.0 * h * norm)
         return out
 
-    def value(self, args: tuple) -> np.ndarray:
-        return np.asarray(self.shape.eval(args), dtype=float) / self.norm()
-
-    def partials(self, args: tuple, second: bool = False):
-        """``value(args)``, bitwise, and its partials over the shape
-        parameters: dshape/dtheta / norm - pdf * dln norm/dtheta.  With
-        ``second`` (where ``second_order`` is set) also the second
-        partials, keyed by ``pair_key``: with p the first partials and L
-        the log-norm partials,
+    def emit(self, tape: Tape, args: tuple, first: bool = True, second: bool = False):
+        """Append pdf = shape / norm to the tape, with ``first`` its partials
+        over the shape parameters, dshape/dtheta / norm - pdf * dln
+        norm/dtheta, and with ``second`` (where ``second_order`` is set)
+        also the second partials, keyed by ``pair_key``: with p the first
+        partials and L the log-norm partials,
 
             d2pdf/dx dy = d2shape/dx dy / norm - p_x L_y - p_y L_x
                           - pdf (L_xy + L_x L_y).
+
+        The norm and its log-derivatives are scalars read once per run.
         """
-        shape, partials, *shape2 = self.shape.partials(args, second=second)
-        norm = self.norm()
-        out2 = shape2[0] if second else {}
-        if self.shape.second_order:
-            # such a shape returns values of its own: they are scaled in
-            # place, the same arithmetic without copies
-            value, out = shape, partials
-            value /= norm
-            for d in (out, out2):
-                for key in d:
-                    d[key] /= norm
-        else:
-            value = np.asarray(shape, dtype=float) / norm
-            out = {key: d / norm for key, d in partials.items()}
-        log_partials = self.log_norm_partials()
-        for key, dln in log_partials.items():
-            _subtract(out, key, value * dln)
+        shape, d, d2 = self.shape.emit(tape, args, second)
+        if not first:
+            (norm,) = tape.read(Pdf._norm_scalars, self, 1)
+            return tape.apply(np.divide, shape, norm), {}, None
+        keys = list(self.log_norm_partials())
+        pairs = list(self.log_norm_second_partials()) if second else []
+        n = len(keys)
+        reader = Pdf._second_scalars if second else Pdf._first_scalars
+        scalars = tape.read(reader, self, 1 + 2 * n + len(pairs))
+        norm, lp, lp2, l2 = scalars[0], scalars[1 : 1 + n], scalars[1 + n : 1 + 2 * n], scalars[1 + 2 * n :]
+        value = tape.apply(np.divide, shape, norm)
+        out = {key: tape.apply(np.divide, r, norm) for key, r in d.items()}
+        for key, dln in zip(keys, lp):
+            _subtract(tape, out, key, tape.apply(np.multiply, value, dln))
         if not second:
-            return value, out
+            return value, out, None
+        out2 = {key: tape.apply(np.divide, r, norm) for key, r in d2.items()}
         for x, dx in out.items():
-            for y, dln in log_partials.items():
-                _subtract(out2, pair_key(x, y), (2.0 * dln if x == y else dln) * dx)
-        for (x, y), l2 in self.log_norm_second_partials().items():
-            _subtract(out2, (x, y), (l2 + log_partials[x] * log_partials[y]) * value)
+            for y, dln, dln2 in zip(keys, lp, lp2):
+                _subtract(tape, out2, pair_key(x, y), tape.apply(np.multiply, dln2 if x == y else dln, dx))
+        for pair, c in zip(pairs, l2):
+            _subtract(tape, out2, pair, tape.apply(np.multiply, c, value))
         return value, out, out2
 
+    def _norm_scalars(self) -> tuple[float]:
+        return (self.norm(),)
 
-def _subtract(out: dict, key, term) -> None:
-    """out[key] -= term, in place: every array of ``out`` is the caller's."""
-    if key in out:
-        out[key] -= term
-    else:
-        out[key] = -term
+    def _first_scalars(self) -> list[float]:
+        """The norm, each log-norm partial and twice it."""
+        lp = list(self.log_norm_partials().values())
+        return [self.norm(), *lp, *(2.0 * v for v in lp)]
+
+    def _second_scalars(self) -> list[float]:
+        """``_first_scalars``, then L_xy + L_x L_y for each log-norm second
+        partial."""
+        log = self.log_norm_partials()
+        l2 = self.log_norm_second_partials()
+        return [*self._first_scalars(), *(v + log[x] * log[y] for (x, y), v in l2.items())]
+
+    def structure(self, walk: Walk, first: bool, second: bool) -> tuple:
+        """What ``emit(first=first, second=second)`` depends on: the shape's
+        structure and the order of the log-norm partials."""
+        shape = self.shape.structure(walk)
+        keys = tuple(map(walk.of, self.log_norm_partials())) if first else ()
+        pairs = tuple((walk.of(x), walk.of(y)) for x, y in self.log_norm_second_partials()) if second else ()
+        return ("pdf", walk(self), shape, first, second, keys, pairs)
+
+    def _kernel(self, order: int) -> Kernel:
+        if order not in self._kernels:
+            self._kernels[order] = Kernel(
+                lambda tape, args: self.emit(tape, args, order > 0, order == 2), self.shape.arity, order
+            )
+        return self._kernels[order]
+
+    def value(self, args: tuple) -> np.ndarray:
+        return self._kernel(0)(args)
+
+    def partials(self, args: tuple, second: bool = False):
+        """``value(args)``, bitwise, and its partials over the shape
+        parameters (see ``emit``); with ``second`` also the second ones."""
+        return self._kernel(2 if second else 1)(args)
+
+
+def _subtract(tape: Tape, out: dict, key, term: int) -> None:
+    """out[key] - term, or -term where out has no key yet."""
+    out[key] = tape.apply(np.subtract, out[key], term) if key in out else tape.apply(np.negative, term)
 
 
 def make_pdf(
@@ -299,6 +340,7 @@ class ExtendedModel:
         if len(arities) != 1:
             raise ValueError("component p.d.f.s must share the observable arity")
         self.components = list(components)
+        self._programs: dict = {}    # compiled tapes, by pass kind
 
     @property
     def arity(self) -> int:
@@ -333,19 +375,45 @@ class ExtendedModel:
                     out.add(p)
         return out
 
-    def evaluate(self, args: tuple) -> tuple[list[np.ndarray], np.ndarray]:
-        """Each component's pdf_k(x) and the density ``mixture`` of them;
-        norms come from the per-pdf cache."""
-        pdfs = [pdf.value(args) for _, pdf in self.components]
-        return pdfs, self.mixture(pdfs)
-
-    def mixture(self, pdfs: Sequence[np.ndarray]) -> np.ndarray:
-        """sum_k N_k pdf_k, a left fold in component order."""
+    def emit(self, tape: Tape, args: tuple, first=None, second=None):
+        """Append every component's pdf (component k with its partials
+        where ``first[k]``, and its second partials where ``second[k]``)
+        and the density sum_k N_k pdf_k, a left fold in component order.
+        Returns the yields (scalars read once per run), the pdfs'
+        emissions and the density."""
+        k = len(self.components)
+        yields = tape.read(ExtendedModel._yield_values, self, k)
+        pdfs = [
+            pdf.emit(tape, args, f, s)
+            for (_, pdf), f, s in zip(self.components, first or [False] * k, second or [False] * k)
+        ]
         total = None
-        for (y, _), p in zip(self.components, pdfs):
-            term = y.value * p
-            total = term if total is None else total + term
-        return total
+        for y, (p, _, _) in zip(yields, pdfs):
+            term = tape.apply(np.multiply, y, p)
+            total = term if total is None else tape.apply(np.add, total, term)
+        return yields, pdfs, total
+
+    def _yield_values(self) -> list[float]:
+        return [y.value for y, _ in self.components]
+
+    def structure(self, walk: Walk, first: Sequence[bool], second: Sequence[bool]) -> tuple:
+        """What ``emit(first=first, second=second)`` depends on."""
+        return ("model", walk(self), tuple(
+            (walk(y), pdf.structure(walk, f, s))
+            for (y, pdf), f, s in zip(self.components, first, second)
+        ))
+
+    def evaluate(self, args: tuple) -> tuple[list[np.ndarray], np.ndarray]:
+        """Each component's pdf_k(x) and the density of ``emit``; norms
+        come from the per-pdf cache."""
+        if "evaluate" not in self._programs:
+            tape = Tape()
+            _, pdfs, dens = self.emit(tape, tuple((tape.input(), {}, None) for _ in range(self.arity)))
+            program = tape.compile([*(p for p, _, _ in pdfs), dens])
+            self._programs["evaluate"] = program, tape.objects
+        program, objects = self._programs["evaluate"]
+        *pdfs, dens = program(args, objects)
+        return pdfs, dens
 
     def density(self, args: tuple) -> np.ndarray:
         """sum_k N_k pdf_k(x); norms come from the per-pdf cache."""
@@ -367,6 +435,91 @@ def add_pdfs(yields: Sequence[Parameter], pdfs: Sequence[Pdf]) -> ExtendedModel:
     return ExtendedModel(list(zip(yields, pdfs)))
 
 
+class _PassPlan:
+    """What a likelihood pass over ``params`` (with ``second``: the exact
+    Hessian rows) needs: its pairs of second-order parameters, its row
+    count and its compiled tape, which depend only on the structure of the
+    model and of ``params``.
+
+    The tape computes each component's pdf (with its partials where
+    ``differentiate`` asks, and its second partials where ``order2``
+    does), the density, the rows of the pass and the log of the density,
+    into registers 0 .. rows - 1 (the rows) and ``rows`` (the logs).  A
+    row takes its terms in component order, each scaled by N_k where the
+    row asks, sums them left to right and divides by the density: a row of
+    one term is one division.
+    """
+
+    def __init__(self, tape: Tape, model: ExtendedModel, params: Sequence[Parameter],
+                 second: bool, differentiate: list[bool], order2: list[bool]):
+        q = len(params)
+        yields = model.yields()
+        depends = [{id(p) for p in pdf.shape.leaf_params()} for _, pdf in model.components]
+        exact = model.second_order_ids() if second else set()
+        ids = [id(p) for p in params]
+        self.pairs = [
+            (i, j) for i in range(q) for j in range(i, q)
+            if ids[i] in exact and ids[j] in exact and any(
+                {ids[i], ids[j]} <= ({id(y)} | dep) and (ids[i] in dep or ids[j] in dep)
+                for y, dep in zip(yields, depends)
+            )
+        ]
+        self.rows = q + len(self.pairs)
+        self.counts = np.array([sum(y is p for y in yields) for p in params], dtype=float)
+        self.opaque = [i for i in range(q) if ids[i] not in exact]
+
+        args = tuple((tape.input(), {}, None) for _ in range(model.arity))
+        factors, pdfs, dens = model.emit(tape, args, differentiate, order2)
+        terms: list[list[tuple[int, int | None]]] = [[] for _ in range(self.rows)]
+        for (y, _), factor, (pk, dp, d2p) in zip(model.components, factors, pdfs):
+            d2p = d2p or {}
+            for r, p in enumerate(params):
+                if y is p:
+                    terms[r].append((pk, None))
+                if id(p) in dp:
+                    terms[r].append((dp[id(p)], factor))
+            for r, (i, j) in enumerate(self.pairs, q):
+                if id(y) == ids[i] and ids[j] in dp:
+                    terms[r].append((dp[ids[j]], None))
+                if id(y) == ids[j] and ids[i] in dp:
+                    terms[r].append((dp[ids[i]], None))
+                if pair_key(ids[i], ids[j]) in d2p:
+                    terms[r].append((d2p[pair_key(ids[i], ids[j])], factor))
+        rows = []
+        for row in terms:
+            total = None
+            for term, factor in row:
+                if factor is not None:
+                    term = tape.apply(np.multiply, factor, term)
+                total = term if total is None else tape.apply(np.add, total, term)
+            if total is None:
+                rows.extend(tape.call(_fill_zero, (), 1))
+            else:
+                rows.append(tape.apply(np.divide, total, dens))
+        self.program = tape.compile(pinned=[*rows, tape.apply(np.log, dens)])
+
+
+def _pass_plan(model: ExtendedModel, params: Sequence[Parameter], second: bool):
+    """The ``_PassPlan`` of a pass, shared by every model of the same
+    structure, with this model's object table; which components the pass
+    differentiates; and to which order."""
+    wanted = {id(p) for p in params}
+    differentiate = [bool(wanted & {id(p) for p in pdf.shape.leaf_params()})
+                     for _, pdf in model.components]
+    order2 = [second and d and pdf.second_order
+              for (_, pdf), d in zip(model.components, differentiate)]
+    walk = Walk()
+    key = ("pass", model.structure(walk, differentiate, order2), tuple(map(walk, params)), second)
+    plan, objects = shared(
+        key, walk, lambda tape: _PassPlan(tape, model, params, second, differentiate, order2)
+    )
+    return plan, objects, differentiate, order2
+
+
+def _fill_zero(row: np.ndarray) -> None:
+    row.fill(0.0)
+
+
 def _likelihood_pass(
     model: ExtendedModel,
     store: ColumnStore,
@@ -382,7 +535,7 @@ def _likelihood_pass(
 
     Each component's pdf is evaluated once per batch (with its partials
     when a parameter of its shape is wanted) and the density is
-    ``ExtendedModel.mixture``'s left fold, so the NLL is bitwise that of a
+    ``ExtendedModel.emit``'s left fold, so the NLL is bitwise that of a
     density-then-log pass.  The score row of theta is
     (sum_k [N_k is theta] pdf_k + N_k dpdf_k/dtheta) / density, exactly
     r_k = pdf_k / density for the yield of one component.  With
@@ -393,12 +546,17 @@ def _likelihood_pass(
             + [N_k is phi] dpdf_k/dtheta + N_k d2pdf_k/dtheta dphi
 
     over the density, which the Hessian subtracts from S^T S; its row and
-    column of any other parameter are NaN.  A pass of one batch writes the
-    rows into its thread's ``workspace``.  A batch returns one row per
-    chunk: the log sum, the sum of each row and the flattened chunk S^T S;
-    every total is the fixed-order ``fold`` of those rows.  A non-positive
-    or non-finite density makes a chunk's log sum non-finite; only then is
-    the first bad event of the batch named.
+    column of any other parameter are NaN.
+
+    The model is lowered once per kind of pass and structure (a
+    ``_PassPlan``) and every batch runs that tape.  A pass of one batch
+    keeps its registers in its thread's ``workspace``; a larger pass
+    allocates them per batch, a cost its arithmetic amortizes, and holds
+    no memory once it returns.  A batch returns one row per chunk: the sum of each
+    row, the log sum and the flattened chunk S^T S; every total is the
+    fixed-order ``fold`` of those rows.  A non-positive or non-finite
+    density makes a chunk's log sum non-finite; only then is the first bad
+    event of the batch named.
     """
     n = len(store)
     if n == 0:
@@ -409,112 +567,57 @@ def _likelihood_pass(
         )
     cols = store.columns(observable_columns)
     q = len(params)
-    wanted = {id(p) for p in params}
-    yields = model.yields()
-    depends = [{id(p) for p in pdf.shape.leaf_params()} for _, pdf in model.components]
-    differentiate = [bool(wanted & ids) for ids in depends]
-    order2 = [
-        second and d and pdf.second_order for (_, pdf), d in zip(model.components, differentiate)
-    ]
+    key = (tuple(map(id, params)), second)
+    if key not in model._programs:
+        # the entry holds the parameters, so that their ids stay theirs
+        model._programs[key] = (tuple(params), *_pass_plan(model, params, second))
+    _, plan, objects, differentiate, order2 = model._programs[key]
     for (_, pdf), d, d2 in zip(model.components, differentiate, order2):
-        pdf.norm()    # fill caches serially before the parallel section
+        # every cache first, serially: a bad norm is reported before a bad
+        # shape parameter, which the readers check component by component
+        pdf.norm()
         if d:
             pdf.log_norm_partials()
         if d2:
             pdf.log_norm_second_partials()
-    exact = model.second_order_ids() if second else set()
-    ids = [id(p) for p in params]
-    pairs = [
-        (i, j) for i in range(q) for j in range(i, q)
-        if ids[i] in exact and ids[j] in exact and any(
-            {ids[i], ids[j]} <= ({id(y)} | dep) and (ids[i] in dep or ids[j] in dep)
-            for y, dep in zip(yields, depends)
-        )
-    ]
-    rows = q + len(pairs)
+    program, rows = plan.program, plan.rows
+    scalars = program.scalars(objects)
 
     def batch(a: int, b: int) -> np.ndarray:
         args = tuple(c[a:b] for c in cols)
-        # a pass of one batch (a small fit's, where per-call costs
-        # dominate) keeps its rows in the thread's workspace from pass to
-        # pass; a larger pass allocates them per batch, a cost its
-        # arithmetic amortizes, and holds no memory once it returns
-        ws = workspace(rows, b - a) if n <= EVAL_BATCH else np.empty((rows, b - a))
-        started = [False] * rows
-
-        def add(r: int, term: np.ndarray, factor: float | None = None) -> None:
-            # row r = its terms summed left to right
-            if started[r]:
-                ws[r] += term if factor is None else factor * term
-            elif factor is None:
-                np.copyto(ws[r], term)
-            else:
-                np.multiply(factor, term, out=ws[r])
-            started[r] = True
-
-        pdfs = []
+        if n <= EVAL_BATCH:
+            regs = workspace(program.registers, b - a)
+        else:
+            regs = np.empty((program.registers, b - a))
         # a bad density is named below, not warned about on the way
         with np.errstate(divide="ignore", invalid="ignore"):
-            # one component at a time: the rows take its terms in
-            # component order, and its partials are freed before the next
-            for (y, pdf), d, d2 in zip(model.components, differentiate, order2):
-                if not d:
-                    pk, dp, d2p = pdf.value(args), {}, {}
-                elif d2:
-                    pk, dp, d2p = pdf.partials(args, second=True)
-                else:
-                    (pk, dp), d2p = pdf.partials(args), {}
-                pdfs.append(pk)
-                for r, p in enumerate(params):
-                    if y is p:
-                        add(r, pk)
-                    if id(p) in dp:
-                        add(r, dp[id(p)], y.value)
-                for r, (i, j) in enumerate(pairs, q):
-                    if id(y) == ids[i] and ids[j] in dp:
-                        add(r, dp[ids[j]])
-                    if id(y) == ids[j] and ids[i] in dp:
-                        add(r, dp[ids[i]])
-                    if pair_key(ids[i], ids[j]) in d2p:
-                        add(r, d2p[pair_key(ids[i], ids[j])], y.value)
-            dens = model.mixture(pdfs)
-            for row, filled in zip(ws, started):
-                if filled:
-                    row /= dens
-                else:
-                    row.fill(0.0)
-            # the density is the mixture's own array: its logs overwrite it
-            sums = chunk_sums(np.log(dens, out=dens)[None, :])
-        if not math.isfinite(sum(sums[:, 0].tolist())):
-            check_density(model.mixture(pdfs), a)    # the logs overwrote dens
-        if not q:
+            program.run(regs, args, scalars)
+        sums = chunk_sums(regs[: rows + 1])
+        if not math.isfinite(sum(sums[:, rows].tolist())):
+            check_density(model.density(args), a)
+        if not (q and (outer or second)):
             return sums
-        parts = [sums, chunk_sums(ws)]
-        if outer or second:
-            # one BLAS product per chunk: chunk_sums of the s_i s_j rows
-            # would round the exact yield block differently
-            s = ws[:q]
-            sts = [sc @ sc.T for sc in (s[:, c : c + CHUNK] for c in range(0, b - a, CHUNK))]
-            parts.append(np.reshape(sts, (len(sums), q * q)))
-        return np.hstack(parts)
+        # one BLAS product per chunk: chunk_sums of the s_i s_j rows would
+        # round the exact yield block differently
+        s = regs[:q]
+        sts = [sc @ sc.T for sc in (s[:, c : c + CHUNK] for c in range(0, b - a, CHUNK))]
+        return np.hstack([sums, np.reshape(sts, (len(sums), q * q))])
 
     totals = fold(run_batches(batch, n, workers))
-    value = model.expected_total() - float(totals[0])
+    value = model.expected_total() - float(totals[rows])
     if not q:
         return value, None, None
-    counts = [sum(y is p for y in yields) for p in params]
-    grad = np.array(counts, dtype=float) - totals[1 : 1 + q]
+    grad = plan.counts - totals[:q]
     if not (outer or second):
         return value, grad, None
     hess = totals[1 + rows :].reshape(q, q)
     if second:
-        for (i, j), t in zip(pairs, totals[1 + q : 1 + rows]):
+        for (i, j), t in zip(plan.pairs, totals[q:rows]):
             hess[i, j] -= t
             if i != j:
                 hess[j, i] -= t
-        opaque = [i for i in range(q) if ids[i] not in exact]
-        hess[opaque, :] = math.nan
-        hess[:, opaque] = math.nan
+        hess[plan.opaque, :] = math.nan
+        hess[:, plan.opaque] = math.nan
     return value, grad, hess
 
 

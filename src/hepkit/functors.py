@@ -22,11 +22,28 @@ central differences.  On plain data, a node whose ``second_order`` is set
 also returns its exact second partials: the Gaussian and exponential
 leaves, a coordinate, and +, -, *, / over such nodes.  A closure and a
 composition have none.
+
+Both run a *tape*, the CPU analogue of fusing a functor expression into
+one kernel at compile time (the graph-to-flat-program step of numexpr and
+Theano).  Each node's ``emit`` writes its value, first and second partials
+into a ``Tape`` as ufunc calls on symbolic operands: the dicts of partials
+are resolved once, when the tape is built, into register numbers.
+``Tape.compile`` drops the calls whose results nothing reads and assigns
+the rest to a few reused registers, writing in place where an operand is
+read for the last time, so a run is one flat list of ``out=`` calls over
+one register file.  Scalars (parameter values and what is derived from
+them) are read once per run, so a compiled tape follows the parameters.
+Every call keeps the operands and the order of the tree evaluation it
+replaces, so the bits are those of that evaluation.  A closure's body is
+an opaque step that calls it and writes its result into a register, and
+a composition emits its outer node over its inners' symbols.  ``eval``
+and ``partials`` compile their tape on first use and keep it.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -45,9 +62,10 @@ _CLOSURE_STEP = 1e-5
 Partials = dict[int, np.ndarray]
 """Partial derivatives keyed by ``id`` of the parameter."""
 
-SecondPartials = dict[tuple[int, int], np.ndarray]
-"""Second partial derivatives keyed by ``pair_key`` of two parameter ids;
-a missing pair is zero."""
+Sym = tuple[int, dict, "dict | None"]
+"""What an emission returns, and receives per argument: the tape operand of
+a value, those of its first partials keyed by ``id(parameter)``, and those
+of its second partials keyed by ``pair_key`` (None when not asked for)."""
 
 
 def pair_key(a: int, b: int) -> tuple[int, int]:
@@ -55,33 +73,299 @@ def pair_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _accumulate(out, key, term) -> None:
-    out[key] = out[key] + term if key in out else term
-
-
-def _mixed(out: SecondPartials, a: int, b: int, term) -> None:
-    """Add the term of d2/da db that belongs to two distinct symbols: when
-    both are the same parameter it occurs twice in the second derivative."""
-    _accumulate(out, pair_key(a, b), 2.0 * term if a == b else term)
-
-
-def _cross(out: SecondPartials, dx: Partials, dy: Partials, scale) -> None:
-    """Add scale * (dx_a dy_b + dx_b dy_a) to every pair (a, b): the cross
-    term of the second derivative of a product."""
-    for a, da in dx.items():
-        for b, db in dy.items():
-            _mixed(out, a, b, scale * da * db)
-
-
-def _chain(out: Partials, dfdx, tangent: Partials) -> None:
-    """Add df/dx * dx/dp for every parameter p the argument x depends on."""
-    for key, dx in tangent.items():
-        _accumulate(out, key, dfdx * dx)
-
-
 class EvaluationError(ValueError):
     """An expression could not be evaluated at a concrete point."""
 
+
+# ---------------------------------------------------------------------------
+# the tape
+
+_REGISTER, _INPUT, _SCALAR, _CONST, _OBJECT = range(5)
+
+
+class Tape:
+    """A straight-line program under construction.
+
+    Operands are integers.  ``input`` names the next run-time input (an
+    array or scalar), ``read`` scalars that a reader computes from an
+    object once per run, ``const`` a literal and ``object`` an object of
+    the run's object table; ``apply`` appends one ufunc call and returns
+    the register that receives it, written once.  ``call`` appends an
+    opaque step, ``fn(*inputs, *outputs)``, which writes its outputs
+    itself.  A compiled tape names objects only by their place in
+    ``objects``, so it runs as well over another table of the same kinds.
+    """
+
+    def __init__(self):
+        self._steps: list[tuple] = []    # (fn, ins, outs, pure, in_place)
+        self._kind: list[int] = []
+        self._slot: list[int] = []       # index within the operand's kind
+        self._readers: list[tuple[Callable, int]] = []
+        self._counts = [0] * 5
+        self._consts: dict[str, int] = {}
+        self._objects: dict[int, int] = {}
+        self.objects: list = []
+
+    def _new(self, kind: int) -> int:
+        self._kind.append(kind)
+        self._slot.append(self._counts[kind])
+        self._counts[kind] += 1
+        return len(self._kind) - 1
+
+    def input(self) -> int:
+        return self._new(_INPUT)
+
+    def object(self, obj) -> int:
+        if id(obj) not in self._objects:
+            self._objects[id(obj)] = self._new(_OBJECT)
+            self.objects.append(obj)
+        return self._objects[id(obj)]
+
+    def read(self, reader: Callable, obj, count: int) -> list[int]:
+        """``count`` scalars that ``reader(obj)`` returns at the start of
+        each run, in order; the reader may raise to reject the values."""
+        self._readers.append((reader, self._slot[self.object(obj)]))
+        return [self._new(_SCALAR) for _ in range(count)]
+
+    def const(self, value: float) -> int:
+        key = float(value).hex()
+        if key not in self._consts:
+            self._consts[key] = self._new(_CONST)
+        return self._consts[key]
+
+    def apply(self, ufunc: np.ufunc, *ins: int) -> int:
+        out = self._new(_REGISTER)
+        self._steps.append((ufunc, ins, (out,), True, True))
+        return out
+
+    def call(self, fn: Callable, ins: Sequence[int], outs: int, pure: bool = True) -> list[int]:
+        """An opaque step with ``outs`` new registers; an impure one (a
+        check) is kept even when nothing reads what it writes."""
+        regs = [self._new(_REGISTER) for _ in range(outs)]
+        self._steps.append((fn, tuple(ins), tuple(regs), pure, False))
+        return regs
+
+    def compile(self, outputs: Sequence[int] = (), pinned: Sequence[int] = ()) -> Program:
+        """The program that computes ``outputs`` and ``pinned``: register i
+        holds ``pinned[i]`` (each written by a step, read by none), the
+        others are shared by values whose lifetimes do not overlap."""
+        steps, kind = self._steps, self._kind
+        end = len(steps)
+        last = {r: end for r in (*outputs, *pinned)}    # operand -> its last reading step
+        kept = []
+        for i in range(end - 1, -1, -1):
+            fn, ins, outs, pure, _ = steps[i]
+            if pure and not any(o in last for o in outs):
+                continue
+            kept.append(i)
+            for r in ins:
+                last.setdefault(r, i)
+        # register i also holds the chain of values that pinned[i] is
+        # computed from in place, each read last by the step that makes
+        # the next: no other value ever enters it
+        defined = {o: i for i in kept for o in steps[i][2]}
+        phys = {}
+        for k, r in enumerate(pinned):
+            while r not in phys:
+                phys[r] = k
+                fn, ins, outs, _, in_place = steps[defined[r]]
+                chain = [x for x in ins if in_place and kind[x] == _REGISTER and last[x] == defined[r]]
+                if chain:
+                    r = chain[0]
+        free: list[int] = []
+        top = len(pinned)
+        placed = []
+        for i in reversed(kept):
+            fn, ins, outs, _, in_place = steps[i]
+            dying = [r for r in dict.fromkeys(ins)
+                     if kind[r] == _REGISTER and last[r] == i and phys[r] >= len(pinned)]
+            if in_place and dying and outs[0] not in phys:
+                phys[outs[0]] = phys[dying.pop(0)]
+            for o in outs:
+                if o not in phys:
+                    if free:
+                        phys[o] = free.pop()
+                    else:
+                        phys[o], top = top, top + 1
+            free.extend(phys[r] for r in dying)
+            free.extend(phys[o] for o in outs if o not in last)
+            placed.append((fn, ins, outs, in_place))
+        base = [0, top]
+        for k in (_INPUT, _SCALAR, _CONST):
+            base.append(base[-1] + self._counts[k])
+        slot = self._slot
+
+        def at(r: int) -> int:
+            return phys[r] if kind[r] == _REGISTER else base[kind[r]] + slot[r]
+
+        program = []
+        for fn, ins, outs, in_place in placed:
+            if not in_place:
+                program.append((fn, tuple(map(at, (*ins, *outs))), None, None))
+            elif len(ins) == 2:
+                program.append((fn, at(ins[0]), at(ins[1]), at(outs[0])))
+            else:
+                program.append((fn, at(ins[0]), None, at(outs[0])))
+        consts = [float.fromhex(k) for k in self._consts]
+        return Program(program, top, self._readers, consts, [at(r) for r in outputs])
+
+
+class Program:
+    """A compiled tape.  A run's operand table holds ``registers`` rows of
+    registers, the inputs, the scalars, the constants and the objects, in
+    that order; each step addresses it by position."""
+
+    def __init__(self, steps, registers, readers, consts, outputs):
+        self.steps = steps
+        self.registers = registers
+        self.readers = readers
+        self.consts = consts
+        self.outputs = outputs
+
+    def scalars(self, objects: Sequence) -> list:
+        """Every reader's scalars, the constants and the objects: the
+        tail of the operand table, read once per run."""
+        out: list = []
+        for read, k in self.readers:
+            out.extend(read(objects[k]))
+        out.extend(self.consts)
+        out.extend(objects)
+        return out
+
+    def run(self, registers, inputs: Sequence, scalars: list) -> list:
+        """Execute every step over the register rows (a sequence, or an
+        array of them), the inputs and ``scalars``; returns the table."""
+        env = [*registers, *inputs, *scalars]
+        for fn, a, b, o in self.steps:
+            if b is not None:
+                fn(env[a], env[b], env[o])
+            elif o is not None:
+                fn(env[a], env[o])
+            else:
+                fn(*[env[i] for i in a])
+        return env
+
+    def __call__(self, inputs: Sequence, objects: Sequence) -> list:
+        """One run on fresh registers shaped like the broadcast inputs; the
+        outputs, each an array of its own or the input it passes through."""
+        scalars = self.scalars(objects)
+        shape = np.broadcast_shapes(*(np.shape(x) for x in inputs))
+        regs = np.empty((self.registers, *shape))
+        if not shape:
+            regs = [regs[i, ...] for i in range(self.registers)]
+        env = self.run(regs, inputs, scalars)
+        return [env[i] for i in self.outputs]
+
+
+class Walk:
+    """Numbers the objects of a structure in first-seen order.
+
+    ``structure`` methods describe a tree with it: two trees of equal
+    structure emit the same tape, over objects that their walks number
+    alike, so one compiled tape serves both (see ``shared``)."""
+
+    def __init__(self):
+        self.objects: list = []
+        self._index: dict[int, int] = {}
+
+    def __call__(self, obj) -> int:
+        k = self._index.get(id(obj))
+        if k is None:
+            k = self._index[id(obj)] = len(self.objects)
+            self.objects.append(obj)
+        return k
+
+    def of(self, ident: int):
+        """The number of the object with this ``id``: a partial's key."""
+        return self._index.get(ident, ("id", ident))
+
+
+_SHARED: dict = {}
+
+
+def shared(key, walk: Walk, build: Callable[[Tape], tuple]) -> tuple:
+    """``build(tape)`` returns a compiled program (and anything else that
+    follows from the structure); it runs once per ``key``, a structure
+    from ``walk``.  Returns what it returned and this walk's objects in the
+    order of the program's object table."""
+    entry = _SHARED.get(key)
+    if entry is None:
+        tape = Tape()
+        made = build(tape)
+        order = [walk.of(id(o)) for o in tape.objects]
+        if not all(isinstance(k, int) for k in order):    # an object the walk missed
+            return made, tape.objects
+        entry = _SHARED[key] = (made, order)
+    made, order = entry
+    return made, [walk.objects[k] for k in order]
+
+
+class Kernel:
+    """``emit(tape, args)`` compiled on its own for ``arity`` arguments:
+    ``order`` 0 gives the value, 1 also the first partials, 2 also the
+    second (on plain data).  ``tangent_keys`` lists, per argument, the
+    keys of the partials that argument carries in."""
+
+    def __init__(self, emit, arity: int, order: int, tangent_keys=None):
+        tape = Tape()
+        args = tuple(
+            (tape.input(), {k: tape.input() for k in keys}, None)
+            for keys in (tangent_keys or ((),) * arity)
+        )
+        value, first, second = emit(tape, args)
+        self.order = order
+        self.first = list(first) if order else []
+        self.second = list(second) if order == 2 else []
+        outs = [value, *(first[k] for k in self.first), *(second[k] for k in self.second)]
+        self.program = tape.compile(outs)
+        self.objects = tape.objects
+
+    def __call__(self, args: tuple, tangents=None):
+        inputs = []
+        for j, x in enumerate(args):
+            inputs.append(x)
+            if tangents:
+                inputs.extend(tangents[j].values())
+        outs = self.program(inputs, self.objects)
+        if not self.order:
+            return outs[0]
+        f = len(self.first) + 1
+        first = dict(zip(self.first, outs[1:f]))
+        if self.order == 1:
+            return outs[0], first
+        return outs[0], first, dict(zip(self.second, outs[f:]))
+
+
+def _accumulate(tape: Tape, out: dict, key, term: int) -> None:
+    """out[key] + term, or term where out has no key yet."""
+    out[key] = tape.apply(np.add, out[key], term) if key in out else term
+
+
+def _mixed(tape: Tape, out: dict, a: int, b: int, term: int) -> None:
+    """Add the term of d2/da db that belongs to two distinct symbols: when
+    both are the same parameter it occurs twice in the second derivative."""
+    if a == b:
+        term = tape.apply(np.multiply, tape.const(2.0), term)
+    _accumulate(tape, out, pair_key(a, b), term)
+
+
+def _cross(tape: Tape, out: dict, dx: dict, dy: dict, scale: int | None) -> None:
+    """Add scale * (dx_a dy_b + dx_b dy_a) to every pair (a, b): the cross
+    term of the second derivative of a product (no scale: 1)."""
+    for a, da in dx.items():
+        for b, db in dy.items():
+            term = da if scale is None else tape.apply(np.multiply, scale, da)
+            _mixed(tape, out, a, b, tape.apply(np.multiply, term, db))
+
+
+def _chain(tape: Tape, out: dict, dfdx: int, tangent: dict) -> None:
+    """Add df/dx * dx/dp for every parameter p the argument x depends on."""
+    for key, dx in tangent.items():
+        _accumulate(tape, out, key, tape.apply(np.multiply, dfdx, dx))
+
+
+# ---------------------------------------------------------------------------
+# expressions
 
 class ParamSet:
     """Ordered parameter collection, addressable by name and by index."""
@@ -130,14 +414,33 @@ class ParamSet:
 
 
 class FunctorExpr:
-    """Base expression node.  Subclasses define ``arity`` and ``eval``."""
+    """Base expression node.  Subclasses define ``arity`` and ``emit``."""
 
     arity: int = 1
     second_order: bool = False
     """Whether ``partials(args, second=True)`` has closed forms."""
 
-    def eval(self, args: tuple):
+    def emit(self, tape: Tape, args: tuple[Sym, ...], second: bool) -> Sym:
+        """Append this node's value and partials over ``args`` to the tape;
+        with ``second`` (plain arguments only) also its second partials."""
         raise NotImplementedError
+
+    def structure(self, walk: Walk) -> tuple:
+        """A hashable description of the tree, over ``walk``'s numbers of
+        its nodes and parameters: what its emission depends on."""
+        raise NotImplementedError
+
+    def _kernel(self, order: int, tangent_keys=None) -> Kernel:
+        kernels = self.__dict__.setdefault("_kernels", {})
+        key = (order, tangent_keys)
+        if key not in kernels:
+            kernels[key] = Kernel(
+                lambda tape, args: self.emit(tape, args, order == 2), self.arity, order, tangent_keys
+            )
+        return kernels[key]
+
+    def eval(self, args: tuple):
+        return self._kernel(0)(args)
 
     def partials(
         self,
@@ -152,10 +455,11 @@ class FunctorExpr:
 
         With ``second``, on plain data and only where ``second_order`` is
         set, a third item holds the exact second partials, keyed by
-        ``pair_key``; the first two are bitwise those without it.  On plain
-        data a node with ``second_order`` returns arrays of its own, which
-        the caller may update in place."""
-        raise NotImplementedError
+        ``pair_key`` (a missing pair is zero); the first two are bitwise
+        those without it.  Every array but a tangent passed through is the
+        caller's own."""
+        keys = tuple(tuple(t) for t in tangents) if tangents else None
+        return self._kernel(2 if second else 1, keys)(args, tangents)
 
     def __call__(self, *point):
         if len(point) != self.arity:
@@ -208,54 +512,45 @@ class GaussianShape(FunctorExpr):
         self.mean = mean
         self.sigma = sigma
 
-    def _terms(self, x):
+    def _scalars(self) -> tuple[float, ...]:
         s = self.sigma.value
         if not s > 0:
             raise EvaluationError(f"sigma must be positive, got {s}")
-        # in place where the operand is a fresh array: the same arithmetic,
-        # in the same order, with fewer temporaries
-        z = x - self.mean.value
-        z /= s
-        f = -0.5 * z
-        f *= z
-        f = np.exp(f)
-        f /= s * _SQRT_2PI
-        return s, z, f
+        return self.mean.value, s, s * _SQRT_2PI, s * s
 
-    def eval(self, args):
-        return self._terms(args[0])[2]
-
-    def partials(self, args, tangents=None, second=False):
-        s, z, f = self._terms(args[0])
-        dmean = f * z    # dmean = f z / s, also -df/dx
-        dmean /= s
-        dsigma = dmean * z
-        dsigma -= f / s
-        out: Partials = {}
-        mean, sigma = id(self.mean), id(self.sigma)
-        _accumulate(out, mean, dmean)
-        _accumulate(out, sigma, dsigma)
-        if tangents:
-            _chain(out, -dmean, tangents[0])
+    def emit(self, tape, args, second):
+        op = tape.apply
+        x, dx, _ = args[0]
+        mean, s, scale, s2 = tape.read(GaussianShape._scalars, self, 4)
+        z = op(np.divide, op(np.subtract, x, mean), s)
+        f = op(np.multiply, op(np.multiply, tape.const(-0.5), z), z)
+        f = op(np.divide, op(np.exp, f), scale)
+        dmean = op(np.divide, op(np.multiply, f, z), s)    # f z / s, also -df/dx
+        dsigma = op(np.subtract, op(np.multiply, dmean, z), op(np.divide, f, s))
+        out: dict = {}
+        m, sg = id(self.mean), id(self.sigma)
+        _accumulate(tape, out, m, dmean)
+        _accumulate(tape, out, sg, dsigma)
+        if dx:
+            _chain(tape, out, op(np.negative, dmean), dx)
         if not second:
-            return f, out
-        # f (z^2 - 1), f z (z^2 - 3) and f ((z^2 - 5) z^2 + 2), over s^2,
-        # in place: no z**4 (a float power of negative bases is slow) and
-        # no temporary beyond z^2 and f / s^2
-        z2 = z * z
-        fs2 = f / (s * s)
-        mm, ms, ss = z2 - 1.0, z2 - 3.0, z2 - 5.0
-        mm *= fs2
-        ms *= z
-        ms *= fs2
-        ss *= z2
-        ss += 2.0
-        ss *= fs2
-        out2: SecondPartials = {}
-        _accumulate(out2, (mean, mean), mm)
-        _mixed(out2, mean, sigma, ms)
-        _accumulate(out2, (sigma, sigma), ss)
+            return f, out, None
+        # f (z^2 - 1), f z (z^2 - 3) and f ((z^2 - 5) z^2 + 2), over s^2: no
+        # z**4 (a float power of negative bases is slow)
+        z2 = op(np.multiply, z, z)
+        fs2 = op(np.divide, f, s2)
+        mm = op(np.multiply, op(np.subtract, z2, tape.const(1.0)), fs2)
+        ms = op(np.multiply, op(np.multiply, op(np.subtract, z2, tape.const(3.0)), z), fs2)
+        ss = op(np.multiply, op(np.subtract, z2, tape.const(5.0)), z2)
+        ss = op(np.multiply, op(np.add, ss, tape.const(2.0)), fs2)
+        out2: dict = {}
+        _accumulate(tape, out2, (m, m), mm)
+        _mixed(tape, out2, m, sg, ms)
+        _accumulate(tape, out2, (sg, sg), ss)
         return f, out, out2
+
+    def structure(self, walk):
+        return ("gauss", walk(self), walk(self.mean), walk(self.sigma))
 
     def _collect_params(self):
         return (self.mean, self.sigma)
@@ -270,26 +565,29 @@ class ExponentialShape(FunctorExpr):
     def __init__(self, tau: Parameter):
         self.tau = tau
 
-    def eval(self, args):
+    def _scalars(self) -> tuple[float, ...]:
         t = self.tau.value
         if t == 0:
             raise EvaluationError("tau must be non-zero")
-        e = -np.asarray(args[0], dtype=float)
-        e /= t
-        return np.exp(e)
+        return t, t * t, 2.0 * t
 
-    def partials(self, args, tangents=None, second=False):
-        f = self.eval(args)
-        t = self.tau.value
-        x = np.asarray(args[0], dtype=float)
-        dtau = f * x
-        dtau /= t * t
-        out: Partials = {id(self.tau): dtau}
-        if tangents:
-            _chain(out, -f / t, tangents[0])
+    def emit(self, tape, args, second):
+        op = tape.apply
+        x, dx, _ = args[0]
+        t, tt, t2 = tape.read(ExponentialShape._scalars, self, 3)
+        f = op(np.exp, op(np.divide, op(np.negative, x), t))
+        dtau = op(np.divide, op(np.multiply, f, x), tt)
+        out: dict = {}
+        _accumulate(tape, out, id(self.tau), dtau)
+        if dx:
+            _chain(tape, out, op(np.divide, op(np.negative, f), t), dx)
         if not second:
-            return f, out
-        return f, out, {(id(self.tau), id(self.tau)): dtau * (x - 2.0 * t) / (t * t)}
+            return f, out, None
+        d2 = op(np.divide, op(np.multiply, dtau, op(np.subtract, x, t2)), tt)
+        return f, out, {(id(self.tau), id(self.tau)): d2}
+
+    def structure(self, walk):
+        return ("exp", walk(self), walk(self.tau))
 
     def _collect_params(self):
         return (self.tau,)
@@ -306,35 +604,65 @@ class Closure(FunctorExpr):
     def eval(self, args):
         return self.fn(args, self.params)
 
-    def partials(self, args, tangents=None, second=False):
-        """Central differences: each parameter steps in a copy of the
-        parameter set, so concurrent evaluations never see a shifted value;
-        each argument with a tangent steps in a copy of the point.  There
-        are no second partials."""
+    def emit(self, tape, args, second):
+        """Two opaque steps, the value and the central differences; the
+        chain rule over arguments with tangents is emitted.  There are no
+        second partials."""
         if second:
             raise NotImplementedError("a closure has no second partials")
-        value = self.eval(args)
-        out: Partials = {}
-        for i, p in enumerate(self.params):
-            h = _CLOSURE_STEP * (1.0 + abs(p.value))
-            shifted = []
-            for sign in (1.0, -1.0):
-                q = copy.copy(p)
-                q.value = p.value + sign * h    # unchecked: a step may cross a bound
-                ps = ParamSet(q if j == i else r for j, r in enumerate(self.params))
-                shifted.append(np.asarray(self.fn(args, ps), dtype=float))
-            _accumulate(out, id(p), (shifted[0] - shifted[1]) / (2.0 * h))
-        for j, tangent in enumerate(tangents or ()):
-            if tangent:
-                x = np.asarray(args[j], dtype=float)
-                h = _CLOSURE_STEP * (1.0 + np.abs(x))
-                up = self.fn(args[:j] + (x + h,) + args[j + 1 :], self.params)
-                down = self.fn(args[:j] + (x - h,) + args[j + 1 :], self.params)
-                _chain(out, (np.asarray(up) - np.asarray(down)) / (2.0 * h), tangent)
-        return value, out
+        xs = [tape.object(self), *(x for x, _, _ in args)]
+        (value,) = tape.call(Closure._value_step, xs, 1)
+        moving = tuple(j for j, (_, d, _) in enumerate(args) if d)
+        diffs = tape.call(functools.partial(_closure_differences, moving), xs,
+                          len(self.params) + len(moving))
+        out = {id(p): d for p, d in zip(self.params, diffs)}
+        for j, dfdx in zip(moving, diffs[len(self.params):]):
+            _chain(tape, out, dfdx, args[j][1])
+        return value, out, None
+
+    def _value_step(self, *refs):
+        np.copyto(refs[-1], self.fn(refs[:-1], self.params))
+
+    def structure(self, walk):
+        return ("closure", walk(self), self.arity, tuple(walk(p) for p in self.params))
 
     def _collect_params(self):
         return tuple(self.params)
+
+
+def _closure_differences(moving: tuple[int, ...], closure: Closure, *refs) -> None:
+    """A closure's central differences over its parameters, then over the
+    arguments in ``moving``, into the last registers of ``refs``.  Each
+    parameter steps in a copy of the parameter set, so concurrent
+    evaluations never see a shifted value; each argument steps in a copy
+    of the point."""
+    fn, params = closure.fn, closure.params
+    args, outs = refs[: closure.arity], refs[closure.arity :]
+    for i, p in enumerate(params):
+        h = _CLOSURE_STEP * (1.0 + abs(p.value))
+        shifted = []
+        for sign in (1.0, -1.0):
+            q = copy.copy(p)
+            q.value = p.value + sign * h    # unchecked: a step may cross a bound
+            ps = ParamSet(q if j == i else r for j, r in enumerate(params))
+            shifted.append(np.asarray(fn(args, ps), dtype=float))
+        np.divide(shifted[0] - shifted[1], 2.0 * h, out=outs[i])
+    for j, out in zip(moving, outs[len(params):]):
+        x = np.asarray(args[j], dtype=float)
+        h = _CLOSURE_STEP * (1.0 + np.abs(x))
+        up = fn(args[:j] + (x + h,) + args[j + 1 :], params)
+        down = fn(args[:j] + (x - h,) + args[j + 1 :], params)
+        np.divide(np.asarray(up) - np.asarray(down), 2.0 * h, out=out)
+
+
+def _check_divisor(b, *args) -> None:
+    """Name the first point where the divisor b is zero."""
+    if not np.all(b):
+        j = int(np.argmax(np.asarray(b).ravel() == 0))
+        point = tuple(
+            float(np.asarray(c).ravel()[j] if not np.isscalar(c) else c) for c in args
+        )
+        raise EvaluationError(f"division by zero at point {point}")
 
 
 class _BinaryOp(FunctorExpr):
@@ -353,54 +681,47 @@ class _BinaryOp(FunctorExpr):
         self.arity = left.arity
         self.second_order = left.second_order and right.second_order
 
-    def _apply(self, a, b, args):
+    def emit(self, tape, args, second):
+        a, da, d2a = self.left.emit(tape, args, second)
+        b, db, d2b = self.right.emit(tape, args, second)
         if self.op == "/":
-            zero = np.asarray(b) == 0
-            if np.any(zero):
-                j = int(np.argmax(np.asarray(zero).ravel()))
-                point = tuple(
-                    float(np.asarray(c).ravel()[j] if not np.isscalar(c) else c) for c in args
-                )
-                raise EvaluationError(f"division by zero at point {point}")
-        return self._ops[self.op](a, b)
-
-    def eval(self, args):
-        return self._apply(self.left.eval(args), self.right.eval(args), args)
-
-    def partials(self, args, tangents=None, second=False):
-        left = self.left.partials(args, tangents, second)
-        right = self.right.partials(args, tangents, second)
-        (a, da), (b, db) = left[:2], right[:2]
-        value = self._apply(a, b, args)
-        out: Partials = {}
-        for key, term in self._rule(a, da, b, db, value):
-            _accumulate(out, key, term)
+            tape.call(_check_divisor, [b, *(x for x, _, _ in args)], 0, pure=False)
+        value = tape.apply(self._ops[self.op], a, b)
+        out: dict = {}
+        for key, term in self._rule(tape, a, da, b, db, value):
+            _accumulate(tape, out, key, term)
         if not second:
-            return value, out
+            return value, out, None
         # the same rules on the second partials, plus the cross terms of a
         # product, d(ab) = a_x b_y + a_y b_x, and of a quotient, where
         # (a/b)_xy = (a_xy - (a/b)_x b_y - (a/b)_y b_x - (a/b) b_xy) / b
-        out2: SecondPartials = {}
-        for key, term in self._rule(a, left[2], b, right[2], value):
-            _accumulate(out2, key, term)
+        out2: dict = {}
+        for key, term in self._rule(tape, a, d2a, b, d2b, value):
+            _accumulate(tape, out2, key, term)
         if self.op == "*":
-            _cross(out2, da, db, 1.0)
+            _cross(tape, out2, da, db, None)
         elif self.op == "/":
-            _cross(out2, out, db, -1.0 / b)
+            _cross(tape, out2, out, db, tape.apply(np.divide, tape.const(-1.0), b))
         return value, out, out2
 
-    def _rule(self, a, da, b, db, value):
+    def _rule(self, tape, a, da, b, db, value):
         """The sum, difference, product or quotient rule, term by term,
         over the partials ``da`` of a and ``db`` of b."""
+        op = tape.apply
         if self.op == "+":
             return [*da.items(), *db.items()]
         if self.op == "-":
-            return [*da.items(), *((k, -d) for k, d in db.items())]
+            return [*da.items(), *((k, op(np.negative, d)) for k, d in db.items())]
         if self.op == "*":
-            return [*((k, d * b) for k, d in da.items()), *((k, a * d) for k, d in db.items())]
+            return [*((k, op(np.multiply, d, b)) for k, d in da.items()),
+                    *((k, op(np.multiply, a, d)) for k, d in db.items())]
         # d(a/b) = (da - (a/b) db) / b
-        return [*((k, d / b) for k, d in da.items()),
-                *((k, -value * d / b) for k, d in db.items())]
+        minus = op(np.negative, value)
+        return [*((k, op(np.divide, d, b)) for k, d in da.items()),
+                *((k, op(np.divide, op(np.multiply, minus, d), b)) for k, d in db.items())]
+
+    def structure(self, walk):
+        return (self.op, self.left.structure(walk), self.right.structure(walk))
 
     def _collect_params(self):
         yield from self.left._collect_params()
@@ -422,15 +743,14 @@ class Composition(FunctorExpr):
         self.inners = tuple(inners)
         self.arity = arities.pop()
 
-    def eval(self, args):
-        return self.outer.eval(tuple(f.eval(args) for f in self.inners))
-
-    def partials(self, args, tangents=None, second=False):
+    def emit(self, tape, args, second):
         if second:
             raise NotImplementedError("a composition has no second partials")
         # the inners' partials are the tangents of the outer's arguments
-        values, inner = zip(*(f.partials(args, tangents) for f in self.inners))
-        return self.outer.partials(values, inner)
+        return self.outer.emit(tape, tuple(f.emit(tape, args, False) for f in self.inners), False)
+
+    def structure(self, walk):
+        return ("compose", self.outer.structure(walk), tuple(f.structure(walk) for f in self.inners))
 
     def _collect_params(self):
         yield from self.outer._collect_params()
@@ -449,12 +769,12 @@ class Coordinate(FunctorExpr):
         self.index = index
         self.arity = arity
 
-    def eval(self, args):
-        return np.asarray(args[self.index], dtype=float) + 0.0
+    def emit(self, tape, args, second):
+        x, dx, _ = args[self.index]
+        return tape.apply(np.add, x, tape.const(0.0)), dict(dx), {} if second else None
 
-    def partials(self, args, tangents=None, second=False):
-        value, out = self.eval(args), dict(tangents[self.index]) if tangents else {}
-        return (value, out, {}) if second else (value, out)
+    def structure(self, walk):
+        return ("coordinate", self.index, self.arity)
 
 
 def shape_gaussian(mean: Parameter, sigma: Parameter) -> FunctorExpr:

@@ -106,6 +106,16 @@ class TestIntegrate:
                        "--range", "0,1", "--seed", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("method, dim", [("plain", "0"), ("vegas", "-2")])
+    def test_dimension_below_one_rejected_in_one_line(self, capsys, method, dim):
+        code = run_cli("integrate", "--method", method, "--dim", dim, "--seed", "0")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [
+            f"usage error: --dim must be at least 1, got {dim}"
+        ]
+
 
 def _write_toy_sample(path, seed=90, scale=0.04):
     from toymodel import build_model
@@ -159,6 +169,19 @@ class TestToysCommand:
         assert lines[0] == "toy,name,value,error,status"
         toys = {line.split(",")[0] for line in lines[1:]}
         assert toys == {"0", "1"}
+
+    @pytest.mark.parametrize("n, code, out", [
+        ("-1", 2, ""),
+        ("0", 0, "toy,name,value,error,status\n"),
+    ])
+    def test_toy_count(self, capsys, n, code, out):
+        assert run_cli("toys", "--n", n, "--model", "gauss+exp", "--range", "0,10",
+                       "--init", "mean=5.0,sigma=0.5,tau=3.0,n_gauss=400,n_exp=600",
+                       "--seed", "5") == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        errors = [l for l in captured.err.splitlines() if not l.startswith("# ")]
+        assert errors == ([f"usage error: --n must be at least 0, got {n}"] if code else [])
 
 
 class TestSplotCommand:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -648,6 +649,28 @@ def test_fit_minor_faults_per_fit(malloc, bound):
     out = subprocess.run([sys.executable, "-c", _FAULTS_CHILD], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     assert float(out.stdout) < bound
+
+
+@pytest.mark.parametrize("differentiate, kind", [
+    (False, {}), (True, {}), (True, {"outer": True}), (True, {"second": True}),
+], ids=["nll", "gradient", "sts", "exact"])
+def test_warm_single_batch_pass_allocates_no_event_sized_array(differentiate, kind):
+    # deterministic where the fault count above samples the heap layout:
+    # a warm pass of one batch (nll, gradient, S^T S, exact) writes into
+    # its thread's registers, so nothing it allocates holds n floats, nor
+    # do all its allocations together
+    data = _gauss_exp_sample(11)
+    model = _start_model()
+    free = model.param_set().free() if differentiate else ()
+    n = len(data)
+    _likelihood_pass(model, data, ["x0"], 1, free, **kind)
+    tracemalloc.start()
+    try:
+        _likelihood_pass(model, data, ["x0"], 1, free, **kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
 
 
 # ---------------------------------------------------------------------------
