@@ -42,7 +42,7 @@ from .integrate import gk15_static, gk_adaptive, plain_mc, vegas
 from .kinematics import KinematicsError, Parameter
 from .phasespace import DecaySpec, FourVector, phsp_generate, phsp_max_weight, phsp_unweight
 from .rng import BoundedRegion, RngKey
-from .store import read_csv
+from .store import ColumnSchema, ColumnStore, read_csv
 from .splot import splot_matrix, splot_weights
 
 STREAM_SAMPLING = 0
@@ -353,10 +353,9 @@ def cmd_hist(args) -> int:
                                 weights=weights[in_range] ** 2)
         errors = np.sqrt(sumw2)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    lines = ["bin_center,count,error"]
-    for c, n, e in zip(centers, counts, errors):
-        lines.append(f"{c:.17g},{n:.17g},{e:.17g}")
-    _write_output("\n".join(lines) + "\n", args.output)
+    table = ColumnStore.from_columns(ColumnSchema.real64("bin_center", "count", "error"),
+                                     [centers, counts, errors])
+    table.write_csv(args.output or sys.stdout)
     return 0
 
 

@@ -247,12 +247,12 @@ class Program:
 
     def __call__(self, inputs: Sequence, objects: Sequence) -> list:
         """One run on fresh registers shaped like the broadcast inputs; the
-        outputs, each an array of its own or the input it passes through."""
+        outputs, each an array of its own or the input it passes through.
+        Each register is allocated on its own, so the caller keeps only the
+        outputs' memory, not every register's."""
         scalars = self.scalars(objects)
         shape = np.broadcast_shapes(*(np.shape(x) for x in inputs))
-        regs = np.empty((self.registers, *shape))
-        if not shape:
-            regs = [regs[i, ...] for i in range(self.registers)]
+        regs = [np.empty(shape) for _ in range(self.registers)]
         env = self.run(regs, inputs, scalars)
         return [env[i] for i in self.outputs]
 

@@ -87,7 +87,8 @@ def splot_weights(
     def batch(a: int, b: int) -> None:
         pdfs, dens = model.evaluate(tuple(c[a:b] for c in cols))
         check_density(dens, a)
-        out[a:b] = (np.stack(pdfs, axis=1) @ V.T) / dens[:, None]
+        np.matmul(np.stack(pdfs, axis=1), V.T, out=out[a:b])
+        out[a:b] /= dens[:, None]
 
     run_batches(batch, n, workers)
     schema = ColumnSchema.real64(*(f"sw_{name}" for name in model.species()))

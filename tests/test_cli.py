@@ -247,6 +247,31 @@ class TestHist:
         assert float(second[1]) == 5.0
         assert float(second[2]) == pytest.approx(math.sqrt(13.0), rel=1e-12)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rows_are_the_formatted_bins(self, tmp_path, capsys, weighted):
+        # the table writer gives the bytes of one f-string row per bin
+        rng = np.random.default_rng(23)
+        x = rng.normal(0.5, 0.3, size=5000)
+        w = rng.uniform(-0.5, 2.0, size=5000)
+        csv = tmp_path / "xw.csv"
+        hk.ColumnStore.from_columns(hk.ColumnSchema.real64("x", "w"), [x, w]).write_csv(str(csv))
+        extra = ["--weight-column", "w"] if weighted else []
+        out = tmp_path / "h.csv"
+        assert run_cli("hist", "--input", str(csv), "--column", "x", "--bins", "37",
+                       "--lo", "-0.3", "--hi", "1.1", "--output", str(out), *extra) == 0
+        edges = np.linspace(-0.3, 1.1, 38)
+        keep = (x >= -0.3) & (x <= 1.1)
+        if weighted:
+            counts, _ = np.histogram(x[keep], bins=edges, weights=w[keep])
+            errors = np.sqrt(np.histogram(x[keep], bins=edges, weights=w[keep] ** 2)[0])
+        else:
+            counts, _ = np.histogram(x[keep], bins=edges)
+            errors = np.sqrt(counts)
+            counts = counts.astype(float)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        rows = [f"{c:.17g},{n:.17g},{e:.17g}" for c, n, e in zip(centers, counts, errors)]
+        assert out.read_text() == "\n".join(["bin_center,count,error", *rows]) + "\n"
+
     def test_unknown_column(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
         hk.ColumnStore.from_columns(

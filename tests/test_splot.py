@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,3 +122,22 @@ class TestWeights:
         b = hk.splot_weights(model, data, ["x0"], V, workers=8)
         for name in a.schema.names:
             assert np.array_equal(a.column(name), b.column(name))
+
+
+def test_weights_hold_only_what_a_batch_needs():
+    # a batch keeps its pdfs, its density and their stack, not the rest of
+    # the register file: a warm call on 1e5 events at one worker peaks at
+    # about 4.0 MiB traced, 1.5 MiB of it the output; holding the whole
+    # register file while stacking and dividing took 5.6 MiB
+    model = build_model(scale=1.0)
+    x = np.random.default_rng(5).uniform(*RANGE, size=100_000)
+    data = hk.ColumnStore.from_columns(hk.ColumnSchema.real64("x0"), [x])
+    V = np.array([[2.0, -0.5], [-0.5, 3.0]])
+    hk.splot_weights(model, data, ["x0"], V, workers=1)
+    tracemalloc.start()
+    try:
+        hk.splot_weights(model, data, ["x0"], V, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.1 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,3 +333,109 @@ class TestCsvDiagnostics:
         text = self._replace_line(text, B + 25, "oops,2,true")
         with pytest.raises(ValueError, match=rf"^line {B + 20}, column 'f':"):
             read_csv(io.StringIO(text), schema=MIXED)
+
+
+# -- the CSV text kernel against the per-row writer --------------------------
+
+def _neighbours(values, steps=2):
+    """Each value and its ``steps`` nearest doubles on either side."""
+    values = np.asarray(values, dtype=np.float64)
+    out, down, up = [values], values, values
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+def _both_signs(values):
+    return np.concatenate([values, -values])
+
+
+def _kernel_reals():
+    """Real64 families that reach every path of the kernel: its digits, its
+    three notations and each reason for Python's own '%.17g'."""
+    rng = np.random.default_rng(41)
+    info = np.finfo(np.float64)
+    bits = rng.integers(0, 2**63, size=100_000, dtype=np.uint64).view(np.float64)
+    # exact ties at the 17th digit: m/4 for odd m just below 2**53 (16
+    # integer digits, then .25 or .75) and m/8 for odd m just below 8e15
+    # (15 integer digits, then .125, .375, .625 or .875)
+    quarters = 2**53 - 1 - 2 * rng.integers(0, 2**40, size=4000)
+    eighths = 8 * 10**15 - 1 - 2 * rng.integers(0, 2**40, size=4000)
+    ties = np.concatenate([quarters / 4, eighths / 8, [1234567890123456.25]])
+    tenths = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    edges = [1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280]
+    special = [0.0, info.smallest_subnormal, info.smallest_subnormal * 12345,
+               info.smallest_normal * (1 - 2**-52), info.smallest_normal, info.max,
+               np.inf, 1e300, 1.0, 0.5, 0.1, 1.0 / 3.0, 123456789012345680.0]
+    return {
+        "bit_patterns": _both_signs(bits),
+        "ties": _both_signs(ties),
+        "powers_of_ten": _both_signs(_neighbours(tenths, steps=1)),
+        "notation_and_domain_edges": _both_signs(_neighbours(edges)),
+        "special": np.concatenate([_both_signs(np.array(special)), [np.nan]]),
+    }
+
+
+KERNEL_REALS = _kernel_reals()
+_I64 = np.iinfo(np.int64)
+KERNEL_INTS = np.concatenate([
+    [_I64.min, _I64.max, _I64.min + 1, _I64.max - 1, 0, 1, -1],
+    _both_signs(np.array([10 ** k for k in range(19)])),
+    _both_signs(np.array([10 ** k - 1 for k in range(1, 19)])),
+    np.random.default_rng(42).integers(_I64.min, _I64.max, size=3000, endpoint=True),
+]).astype(np.int64)
+REALS_ONLY = hk.ColumnSchema.real64("a", "b")
+
+
+def _assert_written_as_per_row(store):
+    """The writer's bytes equal the per-row writer's; a failure names the
+    first line that differs rather than diffing whole files."""
+    got, want = store.to_csv().split("\n"), _per_row_csv(store).split("\n")
+    if got != want:
+        line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                    min(len(got), len(want)))
+        pytest.fail(f"line {line + 1}: wrote {got[line:line + 1]}, "
+                    f"expected {want[line:line + 1]}")
+
+
+class TestCsvKernel:
+    @pytest.mark.parametrize("family", sorted(KERNEL_REALS))
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, None])
+    def test_reals_match_per_row_writer(self, family, rows):
+        # rows=None writes the whole family; the others cut or repeat it
+        values = KERNEL_REALS[family]
+        values = values if rows is None else np.resize(values, rows)
+        _assert_written_as_per_row(
+            hk.ColumnStore.from_columns(REALS_ONLY, [values, values[::-1]]))
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1])
+    def test_mixed_kinds_match_per_row_writer(self, rows):
+        reals = np.resize(np.concatenate(list(KERNEL_REALS.values())), rows)
+        ints = np.resize(KERNEL_INTS, rows)
+        flags = np.resize(np.array([True, False, False, True, True]), rows)
+        _assert_written_as_per_row(hk.ColumnStore.from_columns(MIXED, [reals, ints, flags]))
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1])
+    def test_integers_and_booleans_alone_match_per_row_writer(self, rows):
+        schema = hk.ColumnSchema((("n", "integer64"), ("f", "boolean"), ("m", "integer64")))
+        ints = np.resize(KERNEL_INTS, rows)
+        flags = np.random.default_rng(rows).random(rows) < 0.5
+        _assert_written_as_per_row(
+            hk.ColumnStore.from_columns(schema, [ints, flags, ints[::-1]]))
+        _assert_written_as_per_row(
+            hk.ColumnStore.from_columns(hk.ColumnSchema((("f", "boolean"),)), [flags]))
+
+    def test_import_does_not_build_the_power_table(self):
+        # the table is made on the first write, so importing costs nothing
+        code = ("import io, hepkit, hepkit.store as s\n"
+                "print(s._csv_tables.cache_info().currsize)\n"
+                "hepkit.ColumnStore(hepkit.ColumnSchema.real64('x')).write_csv(io.StringIO())\n"
+                "print(s._csv_tables.cache_info().currsize)\n"
+                "hepkit.ColumnStore.from_columns(hepkit.ColumnSchema.real64('x'), [[0.5]]).to_csv()\n"
+                "print(s._csv_tables.cache_info().currsize)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["0", "0", "1"]
