@@ -371,7 +371,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="key=value defaults file; flags take precedence")
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers by name, built once per process:
+    parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(prog="hepkit",
                                      description="batch analysis toolkit")
     parser.add_argument("--version", action="version", version=__version__)

@@ -217,8 +217,9 @@ def phsp_unweight(
         accept[a:b] = event_uniforms(key, np.arange(a, b), 1)[:, 0] * w_max < w[a:b]
 
     run_batches(batch, n, workers)
-    cols = [block.column(name)[accept] for name in block.schema.names[1:]]
-    return ColumnStore.from_columns(block.schema, [np.ones(len(cols[0]))] + cols)
+    idx = np.flatnonzero(accept)
+    cols = [block.column(name).take(idx) for name in block.schema.names[1:]]
+    return ColumnStore.from_columns(block.schema, [np.ones(len(idx))] + cols)
 
 
 def phsp_decay_chain(

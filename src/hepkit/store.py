@@ -10,8 +10,7 @@ from __future__ import annotations
 import functools
 import io
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +20,7 @@ _KIND_DTYPES = {
     "boolean": np.bool_,
 }
 
-# Rows per block of the CSV reader and writer.
+# Rows per block of the CSV writer.
 CSV_BLOCK = 8192
 
 _BOOLEAN_TOKENS = {"true": True, "false": False}
@@ -181,8 +180,9 @@ class ColumnStore:
         """Vectorized row selection; relative order preserved."""
         if len(mask) != self._len:
             raise ValueError("mask length must equal store length")
+        idx = np.flatnonzero(mask)
         return ColumnStore.from_columns(
-            self.schema, [self._data[n][: self._len][mask] for n in self.schema.names]
+            self.schema, [self._data[n].take(idx) for n in self.schema.names]
         )
 
     def copy(self) -> "ColumnStore":
@@ -191,11 +191,12 @@ class ColumnStore:
     # -- CSV interchange ---------------------------------------------------
     # header = column names; real64 with 17 significant digits so values
     # round-trip exactly; no quoting (names are [A-Za-z0-9_] by schema).
-    # Both directions work a block of CSV_BLOCK (8192) rows at a time, a
-    # column at a time; the reader never holds more than one block of lines.
-    # The writer's text is byte for byte Python's '%.17g' (real64), '%d'
-    # (integer64) and true/false (boolean); the kernel that makes it is
-    # described above _CsvText.
+    # The writer works a block of CSV_BLOCK (8192) rows at a time; its text
+    # is byte for byte Python's '%.17g' (real64), '%d' (integer64) and
+    # true/false (boolean), and the kernel that makes it is described above
+    # _CsvText.  The reader holds one block of text, about _READ_CHARS
+    # characters of whole lines, at a time; its kernel is described above
+    # _CsvRead.
     # Tokens read: real64 takes what python's float() takes if the value is
     # finite, integer64 what int() takes within 64 bits, boolean true/false
     # in any case.  Whitespace around a line or a token is ignored and blank
@@ -455,6 +456,299 @@ def _boolean_slots(x: np.ndarray, out: np.ndarray, scratch) -> None:
 _KIND_SLOTS = {"real64": _real_slots, "integer64": _integer_slots, "boolean": _boolean_slots}
 
 
+# -- CSV read kernel -----------------------------------------------------------
+# _CsvRead turns a block of CSV text, whole lines of about _READ_CHARS
+# characters, into its columns with numpy calls over the whole block, on
+# one thread.  Lines end at '\n' only, as they do when a text file is
+# iterated.  An ASCII block is encoded and read by the kernel; in any other
+# block the lines that are not ASCII are read one at a time, as Python
+# strings, by str.strip, str.split and _parse_column, and the rest by the
+# kernel.  The kernel finds the '\n' and ',' bytes, moves line ends past
+# what str.strip skips and field ends past what float() and int() skip,
+# drops blank lines and checks each line's field count.  Each kind's tokens
+# are gathered into slot-major byte rows, one row per byte position (a
+# multiple of four rows, at most _TOKEN_SLOTS; 0 past a token's end), and
+# read from them with numpy calls over whole rows:
+#   - real64 and integer64 take [sign] digits [.digits] [e [sign] digits]
+#     with at least one mantissa digit, at most 19 significant digits (a
+#     uint64 mantissa M, by Horner's rule on groups of four rows) and at
+#     most 4 exponent digits, for the value M * 10**q.  integer64 takes
+#     only [sign] digits, within 64 bits.
+#   - boolean takes true and false in any case.
+#
+# real64 is exact by construction, with no approximate path.  Its domain is
+# q in [_POW_MIN, _POW_MAX], the writer's power table, where 10**q = hi + lo
+# to within 2**-106 of it, so 1e-264 <= M * 10**q.  M = mh + ml exactly, mh
+# the double conversion of M and |ml| below an ulp of mh; Dekker's
+# two-product gives mh * hi exactly as p + t, and t += mh * lo + ml * hi.
+# p + t is within 12 * 2**-106 * p of M * 10**q (the table, the two rounded
+# products, the dropped ml * lo and the two rounded additions); r is p + t
+# rounded and err = p + t - r exactly (Fast2Sum).  r is the correctly
+# rounded value when |err| + 2**-100 * p, which leaves room for the test's
+# own rounding, is below half the gap from r to the double below it (the
+# smaller of its two gaps): M * 10**q then lies strictly inside r's rounding
+# interval.  On the domain every product is a normal double, so Dekker's
+# product is exact, and r is normal.  M = 0 reads as a signed zero.
+# _parse_column, Python's float(), int() and true/false, reads one token at
+# a time every token that the kernel does not:
+#   - one with any other byte: '_', 'inf', 'nan', whitespace inside it, a
+#     second point or mark, a sign elsewhere than first or after the mark,
+#     no mantissa digit, more than _TOKEN_SLOTS bytes;
+#   - more than 19 significant or 4 exponent digits;
+#   - real64: q outside the table (magnitudes below about 1e-264 * M,
+#     subnormals among them), a result that overflows, and one that fails
+#     the rounding test (exact ties and values within the bound of one);
+#   - integer64: a value outside 64 bits.
+# So the columns are those of _parse_column bit for bit, and every token or
+# line that it or the field count rejects raises for _first_error.
+
+_TOKEN_SLOTS = 32
+_READ_CHARS = 1 << 17     # characters read per block
+_ROUND_BOUND = 2.0 ** -100
+# ASCII whitespace, but '\n', which ends a line: what str.strip skips
+# around a line, and what float() and int() skip around an ASCII token
+# (not \x1c-\x1f, which str.strip also skips)
+_LINE_SPACE = np.array([chr(c).isspace() and c != 10 for c in range(256)])
+_TOKEN_SPACE = np.array([c in b" \t\x0b\x0c\r" for c in range(256)])
+
+
+def _skip_space(b: np.ndarray, pos: np.ndarray, step: int, space: np.ndarray) -> None:
+    """Moves each position in ``pos`` by ``step`` while the byte it passes
+    is in ``space`` (b[pos] forward, b[pos - 1] backward)."""
+    back = step < 0
+    idx = np.flatnonzero(space.take(b.take(pos - back)))
+    while idx.size:
+        pos[idx] += step
+        idx = idx[space.take(b.take(pos[idx] - back))]
+
+
+def _gather(b: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Slot-major token bytes: row k holds byte k of every token, 0 past its
+    end, in a multiple of four rows, at least five (for 'false'); tokens
+    longer than the rows are cut.  Returns the rows and the token lengths,
+    capped at _TOKEN_SLOTS + 1."""
+    length = np.clip(end - start, 0, _TOKEN_SLOTS + 1).astype(np.uint8)
+    slots = min(max(int(length.max(initial=0)), 5), _TOKEN_SLOTS)
+    slots += -slots % 4
+    rows = np.empty((slots, len(start)), np.uint8)
+    at = start.copy()
+    for row in rows:
+        b.take(at, out=row)
+        at += 1
+    rows *= np.arange(slots, dtype=np.uint8)[:, None] < length
+    return rows, length
+
+
+def _count(mask: np.ndarray) -> np.ndarray:
+    """How many of each column's slots are set, as uint8."""
+    return mask.view(np.uint8).sum(0, dtype=np.uint8)
+
+
+def _decimal(c: np.ndarray, length: np.ndarray):
+    """Reads [sign] digits [.digits] [e [sign] digits] from the slot rows
+    ``c``.  Returns the sign, the mantissa M, the exponent q (value M *
+    10**q), whether the token has a point or an exponent, and whether it
+    matched with at most 19 significant and 4 exponent digits."""
+    slots, n = c.shape
+    slot = np.arange(slots, dtype=np.uint8)[:, None]
+    # two slot-sized arrays are reused throughout, to keep a block small
+    mask = np.empty(c.shape, bool)
+    work = np.empty(c.shape, np.uint8)
+
+    marks = _count(np.equal(np.bitwise_or(c, 32, out=work), ord("e"), out=mask))
+    # the exponent, for the tokens with one mark
+    at_e = length.copy()
+    q = np.zeros(n, np.intp)
+    xsign = np.zeros(n, bool)
+    xdigits = np.zeros(n, np.uint8)
+    e = np.flatnonzero(marks == 1)
+    if e.size:
+        at_e[e] = _count(mask[:, e] * slot)
+        ce = c[:, e].ravel()
+        cols = np.arange(e.size)
+        at, end = at_e[e].astype(np.intp), length[e].astype(np.intp)
+        after = ce.take(np.minimum(at + 1, slots - 1) * e.size + cols)
+        xsign[e] = (after == ord("+")) | (after == ord("-"))
+        xdigits[e] = end - at - 1 - xsign[e]
+        x = np.zeros(e.size, np.intp)
+        for i in range(1, 5):
+            tail = ce.take(np.clip(end - i, 0, slots - 1) * e.size + cols)
+            x += np.where(xdigits[e] >= i, tail.astype(np.intp) - 48, 0) * 10 ** (i - 1)
+        q[e] = np.where(after == ord("-"), -x, x)
+    points = _count(np.equal(c, ord("."), out=mask))
+    # with one point, its slot
+    at_point = np.where(points > 0, _count(np.multiply(mask, slot, out=work)), at_e)
+    lead = ((c[0] == ord("+")) | (c[0] == ord("-"))).view(np.uint8)
+    ok = (length <= slots) & (marks <= 1) & (points <= 1) & (at_point <= at_e)
+    ok &= (marks == 0) | ((xdigits >= 1) & (xdigits <= 4))
+    d = np.subtract(c, 48, out=work)
+    digits = _count(np.less(d, 10, out=mask))
+    # every byte is a digit, a point, a mark or a sign where one may be
+    ok &= digits + lead + points + marks + xsign == length
+    mantissa = digits - xdigits
+    ok &= mantissa > 0
+    q -= np.where(points > 0, at_e - at_point - 1, 0)
+    # the mantissa by Horner's rule on groups of four slots: each a factor
+    # 10**k for its k mantissa digits and their value
+    used = np.logical_and(mask, slot < at_e, out=mask)
+    value = np.multiply(d, used, out=work)
+    factor = used * np.uint8(9)
+    factor += 1
+    for dtype in (np.uint8, np.uint16):     # pairs below 100, then fours
+        value = value[0::2].astype(dtype, copy=False) * factor[1::2] + value[1::2]
+        factor = factor[0::2].astype(dtype, copy=False) * factor[1::2]
+    m = value[0].astype(np.uint64)
+    for f, v in zip(factor[1:], value[1:]):
+        m *= f
+        m += v
+    # over 19 mantissa digits: the leading zeros must bring the significant
+    # ones to 19 (else M overflowed)
+    long = np.flatnonzero(ok & (mantissa > 19))
+    if long.size:
+        seen = np.zeros(long.size, bool)
+        zeros = np.zeros(long.size, np.uint8)
+        for cl, ul in zip(c[:, long], used[:, long]):
+            seen |= ul & (cl != ord("0"))
+            zeros += ul & ~seen
+        ok[long] &= mantissa[long] - zeros <= 19
+    return c[0] == ord("-"), m, q, (marks > 0) | (points > 0), ok
+
+
+def _real_values(c: np.ndarray, length: np.ndarray):
+    neg, m, q, _, ok = _decimal(c, length)
+    ok &= (q >= _POW_MIN) & (q <= _POW_MAX)
+    q -= _POW_MIN
+    hi, upper, lower, lo = (row.take(q, mode="clip") for row in _csv_tables()[1])
+    mh = m.astype(np.float64)
+    ml = (m - mh.astype(np.uint64)).view(np.int64).astype(np.float64)
+    # out of the domain these overflow to inf and nan, which fail the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Dekker's two-product: p + t = mh * hi exactly, mh = s + u in
+        # 26-bit halves; then t += mh * lo + ml * hi
+        p = mh * hi
+        s = mh * _SPLIT
+        s -= s - mh
+        u = mh - s
+        t = s * upper
+        t -= p
+        s *= lower
+        t += s
+        upper *= u
+        t += upper
+        u *= lower
+        t += u
+        lo *= mh
+        t += lo
+        hi *= ml
+        t += hi
+        r = p + t
+        err = r - p
+        np.subtract(t, err, out=err)
+        np.abs(err, out=err)
+        p *= _ROUND_BOUND
+        err += p
+        # half the gap below r: half an ulp of the double before it
+        gap = r.view(np.int64) - 1
+        gap &= 0x7FF << 52
+        half = gap.view(np.float64)
+        half *= 2.0 ** -53
+        ok &= (err < half) | (m == 0)
+    r.view(np.uint64)[...] |= neg.astype(np.uint64) << np.uint64(63)
+    return r, ok
+
+
+def _integer_values(c: np.ndarray, length: np.ndarray):
+    neg, m, _, dotted, ok = _decimal(c, length)
+    ok &= ~dotted & (m <= np.uint64(2 ** 63 - 1) + neg)
+    flip = np.uint64(0) - neg.astype(np.uint64)    # all ones where negative
+    m ^= flip
+    m -= flip                                      # -m modulo 2**64 there
+    return m.view(np.int64), ok
+
+
+def _boolean_values(c: np.ndarray, length: np.ndarray):
+    lower = c | 32
+    true = (length == 4) & (lower[:4] == np.frombuffer(b"true", np.uint8)[:, None]).all(0)
+    false = (length == 5) & (lower[:5] == np.frombuffer(b"false", np.uint8)[:, None]).all(0)
+    return true, true | false
+
+
+# kind -> f(slot rows, lengths) -> (values, which of them the kernel read)
+_KIND_VALUES = {"real64": _real_values, "integer64": _integer_values,
+                "boolean": _boolean_values}
+
+
+class _CsvRead:
+    """The columns of a table's CSV blocks."""
+
+    def __init__(self, kinds: Sequence[str]):
+        self.kinds = tuple(kinds)
+        self.groups = [(kind, [j for j, k in enumerate(kinds) if k == kind])
+                       for kind in dict.fromkeys(kinds)]
+
+    def __call__(self, text: str) -> tuple[list[np.ndarray], int]:
+        """The block's columns and its number of lines; raises one of
+        _REJECTED if any line or token of it is rejected."""
+        if text.isascii():
+            columns, _, lines = self.ascii_block(text)
+            return columns, lines
+        lines = text.split("\n")
+        other = [(i, line.strip()) for i, line in enumerate(lines) if not line.isascii()]
+        for i, _ in other:
+            lines[i] = ""
+        columns, at, count = self.ascii_block("\n".join(lines))
+        other = [(i, line.split(",")) for i, line in other if line]
+        if not other:
+            return columns, count
+        if any(len(toks) != len(self.kinds) for _, toks in other):
+            raise ValueError("a line with the wrong number of fields")
+        # the rows in line order
+        order = np.argsort(np.concatenate([at, [i for i, _ in other]]), kind="stable")
+        columns = [np.concatenate([column, _parse_column([toks[j] for _, toks in other], kind)])
+                   for j, (column, kind) in enumerate(zip(columns, self.kinds))]
+        return [column[order] for column in columns], count
+
+    def ascii_block(self, text: str) -> tuple[list[np.ndarray], np.ndarray, int]:
+        """The columns of an ASCII block, the line index of each row and the
+        number of lines."""
+        width = len(self.kinds)
+        data = text.encode("ascii")
+        b = np.frombuffer(data + bytes(_TOKEN_SLOTS), np.uint8)
+        ends = np.flatnonzero(b == 10)
+        starts = np.empty_like(ends)
+        starts[:1] = 0
+        starts[1:] = ends[:-1] + 1
+        _skip_space(b, starts, 1, _LINE_SPACE)
+        rows = np.flatnonzero(b.take(starts) != 10)    # not blank
+        commas = np.flatnonzero(b == ord(","))
+        fields = np.bincount(np.searchsorted(ends, commas), minlength=len(ends))
+        if (fields[rows] != width - 1).any():
+            raise ValueError("a line with the wrong number of fields")
+        # each field's first byte and the byte after it, column-major
+        first = np.empty((width, len(rows)), np.intp)
+        last = np.empty_like(first)
+        first[0], last[-1] = starts[rows], ends[rows]
+        _skip_space(b, last[-1], -1, _LINE_SPACE)
+        first[1:] = commas.reshape(len(rows), width - 1).T + 1
+        last[:-1] = first[1:] - 1
+        _skip_space(b, first[1:].reshape(-1), 1, _TOKEN_SPACE)
+        _skip_space(b, last[:-1].reshape(-1), -1, _TOKEN_SPACE)
+        columns: list[np.ndarray] = [None] * width
+        for kind, idx in self.groups:
+            start, end = first[idx].ravel(), last[idx].ravel()
+            c, length = _gather(b, start, end)
+            values, ok = _KIND_VALUES[kind](c, length)
+            redo = np.flatnonzero(~ok)
+            if redo.size:
+                values[redo] = _parse_column(
+                    [data[i:j].decode("ascii") for i, j in zip(start[redo].tolist(),
+                                                               end[redo].tolist())], kind)
+            values = values.reshape(len(idx), -1)
+            for k, j in enumerate(idx):
+                columns[j] = values[k]
+        return columns, rows, len(ends)
+
+
 def _parse_column(toks: Sequence[str], kind: str) -> np.ndarray:
     """One column's tokens as an array of the kind's dtype; raises one of
     _REJECTED on a token the kind does not accept."""
@@ -488,6 +782,22 @@ def _first_error(lines: list[str], first: int, schema: ColumnSchema) -> ValueErr
     raise AssertionError("the block was rejected but none of its lines is")
 
 
+def _text_blocks(fh) -> Iterator[str]:
+    """The rest of a text file in blocks of whole lines, each ending at a
+    '\\n', of about _READ_CHARS characters; a last line without one gets
+    one."""
+    pending: list[str] = []
+    while text := fh.read(_READ_CHARS):
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield "".join(pending) + text[:cut]
+            pending = [text[cut:]]
+        else:
+            pending.append(text)
+    if rest := "".join(pending):
+        yield rest + "\n"
+
+
 def read_csv(path_or_file, schema: ColumnSchema | None = None) -> ColumnStore:
     """Load a store from CSV.  Without an explicit schema every column is
     read as real64 (the interchange default of this package)."""
@@ -504,20 +814,16 @@ def read_csv(path_or_file, schema: ColumnSchema | None = None) -> ColumnStore:
             raise ValueError(f"CSV header {names} does not match schema {schema.names}")
         width = len(schema)
         blocks: list[list[np.ndarray]] = [[] for _ in range(width)]
+        read = _CsvRead(schema.kinds)
         first = 2    # line number of the block's first line
-        while lines := list(islice(fh, CSV_BLOCK)):
-            rows = [line for line in map(str.strip, lines) if line]
-            toks = ",".join(rows).split(",")
+        for text in _text_blocks(fh):
             try:
-                if set(map(str.count, rows, repeat(","))) - {width - 1}:
-                    raise ValueError("a line with the wrong number of fields")
-                parsed = [_parse_column(toks[j::width], kind)
-                          for j, kind in enumerate(schema.kinds)]
+                parsed, lines = read(text)
             except _REJECTED:
-                raise _first_error(lines, first, schema) from None
+                raise _first_error(text.split("\n"), first, schema) from None
             for parts, column in zip(blocks, parsed):
                 parts.append(column)
-            first += len(lines)
+            first += lines
         return ColumnStore.from_columns(schema, [
             np.concatenate(parts) if parts else np.empty(0, _KIND_DTYPES[kind])
             for parts, kind in zip(blocks, schema.kinds)

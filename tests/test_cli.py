@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hepkit as hk
-from hepkit.cli import main
+from hepkit.cli import build_parser, main
 from hepkit.store import CSV_BLOCK, read_csv
 
 
@@ -301,6 +301,29 @@ class TestConfigFile:
         code = run_cli("phsp", "--mother-mass", "1.0", "--masses", "0.1,0.1",
                        "--events", "10", "--seed", "1", "--config", str(cfg))
         assert code == 2
+
+    def test_each_call_resolves_its_own_config(self, tmp_path, capsys):
+        # the parser is built once per process, so nothing that one call's
+        # config file or flags resolve may reach the next call
+        assert build_parser() is build_parser()
+        runs = [("seed=4\n", "30", "seed=4 unweight=False"),
+                ("seed=5\nunweight=true\n", "200", "seed=5 unweight=True"),
+                (None, "10", "seed=6 unweight=False")]
+        for k, (config, events, resolved) in enumerate(runs):
+            out = tmp_path / f"{k}.csv"
+            args = ["phsp", "--mother-mass", "1.0", "--masses", "0.1,0.1,0.1",
+                    "--events", events, "--output", str(out)]
+            if config is None:
+                args += ["--seed", "6"]
+            else:
+                cfg = tmp_path / f"{k}.cfg"
+                cfg.write_text(config)
+                args += ["--config", str(cfg)]
+            assert run_cli(*args) == 0
+            err = capsys.readouterr().err
+            assert f"events={events} " in err and resolved in err, err
+            rows = len(read_csv(str(out)))
+            assert rows == int(events) if "unweight=False" in resolved else rows < int(events)
 
     def test_resolved_config_printed(self, tmp_path, capsys):
         out = tmp_path / "a.csv"
