@@ -42,7 +42,7 @@ from .integrate import gk15_static, gk_adaptive, plain_mc, vegas
 from .kinematics import KinematicsError, Parameter
 from .phasespace import DecaySpec, FourVector, phsp_generate, phsp_max_weight, phsp_unweight
 from .rng import BoundedRegion, RngKey
-from .store import ColumnSchema, ColumnStore, read_csv
+from .store import ColumnSchema, ColumnStore, read_csv, write_workers
 from .splot import splot_matrix, splot_weights
 
 STREAM_SAMPLING = 0
@@ -191,6 +191,12 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_table(table: ColumnStore, args) -> None:
+    """The table as CSV to --output or stdout, formatted on --workers."""
+    with write_workers(args.workers):
+        table.write_csv(args.output or sys.stdout)
+
+
 def cmd_phsp(args) -> int:
     masses = _parse_floats(args.masses)
     spec = DecaySpec(args.mother_mass, tuple(masses))
@@ -201,7 +207,7 @@ def cmd_phsp(args) -> int:
         w_max = phsp_max_weight(spec)
         block = phsp_unweight(block, w_max, RngKey(args.seed, stream=STREAM_UNWEIGHT),
                               workers=args.workers)
-    block.write_csv(args.output or sys.stdout)
+    _write_table(block, args)
     return 0
 
 
@@ -326,7 +332,7 @@ def cmd_splot(args) -> int:
     model = build_model(args.model, bounds, fitted, set())
     V = splot_matrix(model, store, [args.column], workers=args.workers)
     table = splot_weights(model, store, [args.column], V, workers=args.workers)
-    table.write_csv(args.output or sys.stdout)
+    _write_table(table, args)
     return 0
 
 
@@ -355,7 +361,7 @@ def cmd_hist(args) -> int:
     centers = 0.5 * (edges[:-1] + edges[1:])
     table = ColumnStore.from_columns(ColumnSchema.real64("bin_center", "count", "error"),
                                      [centers, counts, errors])
-    table.write_csv(args.output or sys.stdout)
+    _write_table(table, args)
     return 0
 
 

@@ -13,13 +13,19 @@ chunk contains, so results are bitwise identical for any number of
 workers.  A batch whose rows are rebuilt call after call can write them
 into its thread's ``workspace``, so repeated calls reuse that memory
 instead of allocating (and page-faulting) it afresh.
+
+A stream whose results must be consumed in order as they come, the CSV
+writer's text parts, runs through ``run_ordered`` instead: its calls run
+on the same pools, a bounded window of them at a time, and the calling
+thread consumes each result in index order.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -80,6 +86,44 @@ def run_batches(
     if w <= 1 or len(ranges) <= 1:
         return [fn(a, b) for a, b in ranges]
     return list(_pool(w).map(lambda r: fn(r[0], r[1]), ranges))
+
+
+def run_ordered(
+    fn: Callable[[int], T],
+    n: int,
+    workers: int | None,
+    window: int,
+    consume: Callable[[T], object],
+) -> None:
+    """``consume(fn(i))`` for i = 0 .. n-1, in that order.  ``fn`` runs on
+    the pool, at most ``window`` calls at a time, and ``consume`` on the
+    calling thread; call i + window is submitted only once result i is
+    taken, so a caller can hand call i's resources on to it.  With one
+    worker, a window of one or a single call, everything runs on the
+    calling thread.
+
+    If ``fn`` or ``consume`` raises, the calls in flight are waited for
+    before the error propagates: none of them outlives this call.
+    """
+    w = resolve_workers(workers)
+    if w <= 1 or window <= 1 or n <= 1:
+        for i in range(n):
+            consume(fn(i))
+        return
+    pool = _pool(w)
+    pending: collections.deque = collections.deque()
+    try:
+        for i in range(n):
+            if len(pending) == window:
+                done = pending.popleft().result()
+                pending.append(pool.submit(fn, i))
+                consume(done)
+            else:
+                pending.append(pool.submit(fn, i))
+        while pending:
+            consume(pending.popleft().result())
+    finally:
+        wait(pending)
 
 
 def chunk_sums(rows: np.ndarray) -> np.ndarray:

@@ -7,12 +7,16 @@ concurrently.  There is no limit on the number of columns.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .parallel import resolve_workers, run_ordered
 
 _KIND_DTYPES = {
     "real64": np.float64,
@@ -22,6 +26,10 @@ _KIND_DTYPES = {
 
 # Rows per block of the CSV writer.
 CSV_BLOCK = 8192
+# Values that a part of a block holds at least, when the writer splits a
+# block across workers: below about this many, a part's numpy calls gain
+# little from a second thread.
+CSV_PART_VALUES = 2 ** 15
 
 _BOOLEAN_TOKENS = {"true": True, "false": False}
 _EXPECTED = {
@@ -112,18 +120,21 @@ class ColumnStore:
         """Bulk constructor from equal-length per-column arrays."""
         if len(columns) != len(schema):
             raise ValueError(f"expected {len(schema)} columns, got {len(columns)}")
-        lengths = {len(c) for c in columns}
-        if len(lengths) > 1:
-            raise ValueError(f"column lengths differ: {sorted(lengths)}")
-        store = cls(schema)
         data = {}
         for (name, kind), col in zip(schema.columns, columns):
-            arr = np.ascontiguousarray(col, dtype=_KIND_DTYPES[kind])
+            arr = np.asarray(col, dtype=_KIND_DTYPES[kind])
+            if arr.ndim != 1:
+                raise ValueError(f"column {name!r} must be 1-D, got shape {arr.shape}")
+            arr = np.ascontiguousarray(arr)
             if not arr.flags.writeable:
                 arr = arr.copy()
             data[name] = arr
+        lengths = {len(arr) for arr in data.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"column lengths differ: {sorted(lengths)}")
+        store = cls(schema)
         store._data = data
-        store._len = lengths.pop() if lengths else 0
+        store._len = lengths.pop()
         return store
 
     def __len__(self) -> int:
@@ -191,29 +202,47 @@ class ColumnStore:
     # -- CSV interchange ---------------------------------------------------
     # header = column names; real64 with 17 significant digits so values
     # round-trip exactly; no quoting (names are [A-Za-z0-9_] by schema).
-    # The writer works a block of CSV_BLOCK (8192) rows at a time; its text
-    # is byte for byte Python's '%.17g' (real64), '%d' (integer64) and
-    # true/false (boolean), and the kernel that makes it is described above
-    # _CsvText.  The reader holds one block of text, about _READ_CHARS
-    # characters of whole lines, at a time; its kernel is described above
-    # _CsvRead.
+    # The writer works a block of CSV_BLOCK (8192) rows at a time, split
+    # into parts across workers by csv_parts; its text is byte for byte
+    # Python's '%.17g' (real64), '%d' (integer64) and true/false (boolean),
+    # and the kernel that makes it is described above _CsvText.  The
+    # reader holds one block of text, about _READ_CHARS characters of whole
+    # lines, at a time; its kernel is described above _CsvRead.
     # Tokens read: real64 takes what python's float() takes if the value is
     # finite, integer64 what int() takes within 64 bits, boolean true/false
     # in any case.  Whitespace around a line or a token is ignored and blank
     # lines are skipped.  A rejected line or token raises a one-line
     # ValueError naming the line and the column.
 
-    def write_csv(self, path_or_file) -> None:
+    def write_csv(self, path_or_file, workers: int | None = None) -> None:
+        """Writes the table to a path or an open text file.  Its blocks are
+        formatted on ``workers`` threads (0 = every core; None = the count
+        of an enclosing ``write_workers`` block, else 1): each block is
+        split into the parts of ``csv_parts``, each part is formatted on a
+        pool thread into a _CsvText of its own, and the calling thread
+        writes the texts in row order.  The rows in flight are one block's
+        worth for any worker count, so memory stays that of one thread, and
+        the bytes are the same for any count: a row's text depends only on
+        its values."""
         own = isinstance(path_or_file, (str, bytes))
         fh = open(path_or_file, "w") if own else path_or_file
+        texts: list[_CsvText] = []
         try:
             fh.write(",".join(self.schema.names) + "\n")
             columns = [self._data[name] for name in self.schema.names]
-            text = _CsvText(self.schema.kinds)
-            for start in range(0, self._len, CSV_BLOCK):
-                stop = min(start + CSV_BLOCK, self._len)
-                fh.write(text([c[start:stop] for c in columns]))
+            w = resolve_workers(_WRITE_WORKERS.get() if workers is None else workers)
+            window, parts = csv_parts(self._len, len(columns), w)
+            # part i uses text i % window: run_ordered starts it only after
+            # part i - window, the text's last user, is done
+            texts += [_CsvText(self.schema.kinds) for _ in range(window)]
+
+            def text(i: int) -> str:
+                start, stop = parts[i]
+                return texts[i % window]([c[start:stop] for c in columns])
+
+            run_ordered(text, len(parts), w, window, fh.write)
         finally:
+            texts.clear()    # the scratch goes now, even if a traceback holds this frame
             if own:
                 fh.close()
 
@@ -223,9 +252,51 @@ class ColumnStore:
         return buf.getvalue()
 
 
+# The worker count of a write_csv called without one.
+_WRITE_WORKERS: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "write_workers", default=1)
+
+
+@contextlib.contextmanager
+def write_workers(workers: int | None):
+    """Within the block, ``ColumnStore.write_csv`` called without a worker
+    count formats on ``workers`` threads (0 or None = every core).  The CLI
+    passes its --workers this way, so that a wrapper of write_csv that
+    passes on only the destination, as perfbench's tracer does, still
+    writes on every worker."""
+    token = _WRITE_WORKERS.set(workers)
+    try:
+        yield
+    finally:
+        _WRITE_WORKERS.reset(token)
+
+
+def csv_parts(rows: int, width: int, workers: int) -> tuple[int, list[tuple[int, int]]]:
+    """The writer's plan for ``rows`` rows of ``width`` columns on
+    ``workers`` (>= 1) threads: the parts per block, and the [start, stop)
+    rows of every part, in order.  A block of CSV_BLOCK rows is split into
+    parts = clamp(CSV_BLOCK * width // CSV_PART_VALUES, 1, workers) parts
+    of nearly equal size, and a short last block into at most as many as
+    it has rows; so every part holds at least one row, and the rows of one
+    block's parts, those in flight at a time, total CSV_BLOCK at most."""
+    per_block = max(1, min(CSV_BLOCK * width // CSV_PART_VALUES, workers, CSV_BLOCK))
+    parts = []
+    for start in range(0, rows, CSV_BLOCK):
+        size = min(CSV_BLOCK, rows - start)
+        k = min(per_block, size)
+        parts += [(start + size * j // k, start + size * (j + 1) // k) for j in range(k)]
+    return per_block, parts
+
+
 # -- CSV text kernel ---------------------------------------------------------
-# _CsvText turns a block of columns into its CSV lines with numpy calls over
-# whole columns, on one thread.  Every value gets a fixed row of _SLOTS
+# _CsvText turns a part of a block, a run of rows, into its CSV lines with
+# numpy calls over whole columns.  One _CsvText serves one thread at a
+# time: write_csv gives each part in flight its own, and a block is split
+# only into parts of at least CSV_PART_VALUES values, at most one per
+# worker, so that the parts in flight hold one block's rows and their
+# arrays total one thread's (179 bytes a real64 value, 19 MB for a block
+# of 13 columns).  A narrow table, 3 columns or fewer, is not split and is
+# written on the calling thread.  Every value gets a fixed row of _SLOTS
 # byte slots; a slot that the value's text does not use holds 0.  The slots
 # are built slot-major, one 1-D call per slot across all of a kind's
 # values, and one boolean index over their value-major transpose drops the
@@ -266,7 +337,9 @@ _TIE_BOUND = 2.0 ** -40
 # 10**(16 - E) for every E that floor(log10|x|) gives on the domain, with
 # one of margin on each side for log10's rounding
 _POW_MIN, _POW_MAX = -264, 297
-_BOOLEAN_SLOTS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
+# the boolean slots: 'false', and what turns it into 'true\0' (modulo 256)
+_BOOLEAN_SLOTS = np.frombuffer(b"false", np.uint8), \
+    np.frombuffer(b"true\0", np.uint8) - np.frombuffer(b"false", np.uint8)
 
 
 @functools.cache
@@ -290,9 +363,10 @@ def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CsvText:
-    """The CSV text of a table's blocks.  Its arrays are sized by the first
-    block and reused by the later ones: fresh arrays of this size would be
-    page-faulted in again for every block."""
+    """The CSV text of a table's parts.  Every array of the kernel but the
+    text it returns is scratch, sized by the first part and reused by the
+    later ones: fresh arrays of this size would be page-faulted in again
+    for every part, by every writer thread."""
 
     def __init__(self, kinds: Sequence[str]):
         self.groups = [(kind, [j for j, k in enumerate(kinds) if k == kind])
@@ -301,38 +375,45 @@ class _CsvText:
         self._arrays: dict[str, np.ndarray] = {}
 
     def scratch(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """The array called ``name``, of the given shape; its contents are
-        undefined."""
-        size = int(np.prod(shape))
+        """An array of the given shape and dtype in the buffer called
+        ``name``; its contents are undefined.  Every request under a name
+        gets the same memory, so arrays whose lives overlap take different
+        names, and arrays that follow one another can share one: "work"
+        holds the real64 kernel's doubles, then _digit_rows's groups, then
+        the value-major slots and the mask of those kept."""
+        dtype = np.dtype(dtype)
+        size = int(np.prod(shape)) * dtype.itemsize
         buf = self._arrays.get(name)
         if buf is None or buf.size < size:
-            buf = self._arrays[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
+            buf = self._arrays[name] = np.empty(size, np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
 
     def __call__(self, columns: Sequence[np.ndarray]) -> str:
         rows, width = len(columns[0]), len(columns)
         slots = self.scratch("slots", (_SLOTS, rows, width), np.uint8)
         for kind, idx in self.groups:
-            values = self.scratch(kind, (rows, len(idx)), _KIND_DTYPES[kind])
+            values = self.scratch("values", (rows, len(idx)), _KIND_DTYPES[kind])
             for k, j in enumerate(idx):
                 values[:, k] = columns[j]
             part = slots if len(idx) == width else \
-                self.scratch(kind + " slots", (_SLOTS, rows, len(idx)), np.uint8)
+                self.scratch("group slots", (_SLOTS, rows, len(idx)), np.uint8)
             _KIND_SLOTS[kind](values.ravel(), part.reshape(_SLOTS, -1), self.scratch)
             if part is not slots:
                 slots[:, :, idx] = part
         slots[_SEPARATOR] = self.separators
-        slots = slots.reshape(_SLOTS, -1)
-        keep = np.not_equal(slots, 0, out=self.scratch("keep", slots.shape, bool))
-        return slots.T[keep.T].tobytes().decode("ascii")
+        # value-major, so that dropping the zero slots leaves the text
+        chars, keep = self.scratch("work", (2, rows * width, _SLOTS), np.uint8)
+        np.copyto(chars, slots.reshape(_SLOTS, -1).T)
+        keep = np.not_equal(chars, 0, out=keep.view(bool))
+        return str(chars[keep], "ascii")
 
 
 def _digit_rows(u: np.ndarray, scratch) -> np.ndarray:
     """ASCII digits of the uint64 values ``u``, zero-padded to 20, as 20
     rows (row 0 the most significant)."""
     n = len(u)
-    g = scratch("digit groups", (6, n), np.intp)   # five groups of 4 digits
-    np.floor_divide(u, 10 ** 8, out=g[5], casting="unsafe")
+    g = scratch("work", (6, n), np.intp)           # five groups of 4 digits
+    np.floor_divide(u, 10 ** 8, out=g[5].view(np.uint64))
     np.multiply(g[5], 10 ** 8, out=g[4])
     np.subtract(u.view(np.int64), g[4], out=g[4])   # u % 10**8, modulo 2**64
     np.floor_divide(g[5], 10 ** 8, out=g[0])
@@ -349,20 +430,21 @@ def _digit_rows(u: np.ndarray, scratch) -> np.ndarray:
     return rows
 
 
-def _put(row: np.ndarray, mask: np.ndarray, byte: int) -> None:
-    """``row`` = ``byte`` where ``mask``, else 0."""
-    row[:] = mask
-    row *= byte
-
-
 def _real_slots(x: np.ndarray, out: np.ndarray, scratch) -> None:
     n = len(x)
-    a, p, s, t, u, hi, upper, lower, lo = scratch("real", (9, n), np.float64)
+    # the doubles are dead once the digits are made, so _digit_rows reuses
+    # their memory
+    a, p, s, t, u, hi, upper, lower, lo = scratch("work", (9, n), np.float64)
     digits, whole = scratch("real int", (2, n), np.int64)
+    exact, mask, seen, sci, below_one = scratch("real flags", (5, n), bool)
+    e10, zeros = scratch("real exponent", (2, n), np.int16)
+    length, point, end, dot = scratch("real places", (4, n), np.uint8)
     np.abs(x, out=a)
-    exact = (a > 1e-280) & (a < 1e280)
-    np.copyto(a, 1.0, where=~exact)
-    e10 = np.floor(np.log10(a, out=t), out=t).astype(np.int16)
+    np.greater(a, 1e-280, out=exact)
+    exact &= np.less(a, 1e280, out=mask)
+    np.copyto(a, 1.0, where=np.logical_not(exact, out=mask))
+    np.floor(np.log10(a, out=t), out=t)
+    np.copyto(e10, t, casting="unsafe")
     np.subtract(16 - _POW_MIN, e10, out=whole)
     for row, table in zip((hi, upper, lower, lo), _csv_tables()[1]):
         table.take(whole, out=row, mode="clip")
@@ -389,36 +471,51 @@ def _real_slots(x: np.ndarray, out: np.ndarray, scratch) -> None:
     np.copyto(digits, p, casting="unsafe")    # p is an integer above 2**53
     digits += whole
     np.subtract(t, 0.5, out=u)
-    exact &= np.abs(u, out=u) > _TIE_BOUND
-    exact &= digits >= 10 ** 16
-    digits += t > 0.5
-    exact &= digits < 10 ** 17
+    exact &= np.greater(np.abs(u, out=u), _TIE_BOUND, out=mask)
+    exact &= np.greater_equal(digits, 10 ** 16, out=mask)
+    np.copyto(whole, np.greater(t, 0.5, out=mask))
+    digits += whole                           # rounded half up
+    exact &= np.less(digits, 10 ** 17, out=mask)
     digit = _digit_rows(digits.view(np.uint64), scratch)[3:]
     # significant digits: 17 less the trailing zeros
-    length = np.zeros(n, np.uint8)
-    seen = np.zeros(n, bool)
+    length[:] = 0
+    seen[:] = False
     for row in digit[::-1]:
-        seen |= row != ord("0")
+        seen |= np.not_equal(row, ord("0"), out=mask)
         length += seen
-    sci = (e10 < -4) | (e10 > 16)
-    below_one = (e10 < 0) & ~sci
-    # the point goes before digit `point`; below one it is in the prefix,
-    # and `point` = length leaves the digits without one
-    point = np.where(sci, 1, np.where(below_one, length, e10 + 1)).astype(np.uint8)
-    end = np.where(length > point, length + 1, point)
-    _put(out[0], np.signbit(x), ord("-"))
-    zeros = np.where(below_one, 1 - e10, 0)
+    np.less(e10, -4, out=sci)
+    sci |= np.greater(e10, 16, out=mask)
+    np.less(e10, 0, out=below_one)
+    below_one &= np.logical_not(sci, out=mask)
+    # the point goes before digit `point`: e10 + 1 in fixed notation, 1 in
+    # scientific; below one it is in the prefix, and `point` = length
+    # leaves the digits without one.  `end` is where the text ends: length
+    # + 1 with a point (length > point), else point; `dot` is the point's
+    # slot in the digits where it has one (at least 1), else 0
+    np.add(e10, 1, out=point, casting="unsafe")
+    np.copyto(point, length, where=below_one)
+    np.copyto(point, 1, where=sci)
+    np.greater(length, point, out=mask)
+    np.add(length, mask, out=end)
+    np.maximum(end, point, out=end)
+    np.multiply(point, mask, out=dot)
+    np.signbit(x, out=out[0].view(bool))
+    out[0] *= ord("-")
+    np.subtract(1, e10, out=zeros)            # the prefix's zeros below one
+    zeros *= below_one
     for k, ch in enumerate(b"0.000"):
-        _put(out[_PREFIX + k], zeros > k, ch)
+        row = out[_PREFIX + k]
+        np.greater(zeros, k, out=row.view(bool))
+        row *= ch
     for r in range(18):
         row = out[_REGION + r]
         before, after = digit[min(r, 16)], digit[max(r - 1, 0)]
         np.subtract(before, after, out=row)
-        row *= point > r
+        row *= np.greater(point, r, out=mask)
         row += after      # digit r before the point, digit r - 1 after it
-        row *= end > r
-    dotted = np.flatnonzero(length > point)
-    out[_REGION + point[dotted], dotted] = ord(".")
+        if r and np.equal(dot, r, out=mask).any():    # few slots hold a point
+            np.copyto(row, ord("."), where=mask)
+        row *= np.greater(end, r, out=mask)
     out[_EXPONENT:_SEPARATOR] = 0
     sci = np.flatnonzero(sci)
     if sci.size:
@@ -428,26 +525,32 @@ def _real_slots(x: np.ndarray, out: np.ndarray, scratch) -> None:
             np.full(sci.size, ord("e")), ord("+") + 2 * (e < 0),  # '+' + 2 = '-'
             (mag // 100 + ord("0")) * (mag >= 100), mag // 10 % 10 + ord("0"),
             mag % 10 + ord("0")]
-    redo = np.flatnonzero(~exact)
+    redo = np.flatnonzero(np.logical_not(exact, out=mask))
     if redo.size:
         text = np.array([b"%.17g" % v for v in x[redo].tolist()], dtype=f"S{_SEPARATOR}")
         out[:_SEPARATOR, redo] = text.view(np.uint8).reshape(-1, _SEPARATOR).T
 
 
 def _integer_slots(x: np.ndarray, out: np.ndarray, scratch) -> None:
-    _put(out[0], x < 0, ord("-"))
+    n = len(x)
+    np.less(x, 0, out=out[0].view(bool))
+    out[0] *= ord("-")
     # np.abs leaves INT64_MIN as it is, whose uint64 view is its magnitude
-    digit = _digit_rows(np.abs(x).view(np.uint64), scratch)
-    seen = np.zeros(len(x), bool)
+    magnitude = np.abs(x, out=scratch("integer magnitude", (n,), np.int64))
+    digit = _digit_rows(magnitude.view(np.uint64), scratch)
+    seen, mask = scratch("integer flags", (2, n), bool)
+    seen[:] = False
     for r, row in enumerate(digit[:-1]):
-        seen |= row != ord("0")
+        seen |= np.not_equal(row, ord("0"), out=mask)
         np.multiply(row, seen, out=out[1 + r])
     out[20] = digit[-1]
     out[21:_SEPARATOR] = 0
 
 
 def _boolean_slots(x: np.ndarray, out: np.ndarray, scratch) -> None:
-    out[:5] = _BOOLEAN_SLOTS[x.view(np.uint8)].T
+    for row, false, step in zip(out, *_BOOLEAN_SLOTS):
+        np.multiply(x, step, out=row)
+        row += false
     out[5:_SEPARATOR] = 0
 
 

@@ -345,6 +345,44 @@ class TestWorkerByteIdentity:
         assert run_cli(*args, "--workers", workers, "--output", str(other)) == 0
         assert base.read_bytes() == other.read_bytes()
 
+    def _outputs(self, tmp_path, *args):
+        """The bytes ``hepkit *args`` writes at 1, 2 and 8 workers."""
+        out = []
+        for workers in ("1", "2", "8"):
+            path = tmp_path / f"w{workers}.csv"
+            assert run_cli(*args, "--workers", workers, "--output", str(path)) == 0
+            out.append(path.read_bytes())
+        return out
+
+    def test_unweighted_phsp_over_many_blocks_identical(self, tmp_path):
+        # 13 columns: the writer formats its blocks on the worker pool
+        w1, w2, w8 = self._outputs(tmp_path, "phsp", "--mother-mass", "1.0", "--masses",
+                                   "0.1,0.1,0.1", "--events", "100000", "--unweight",
+                                   "--seed", "12")
+        assert w1.count(b"\n") - 1 > 3 * CSV_BLOCK
+        assert len({w1, w2, w8}) == 1, "the bytes depend on the worker count"
+
+    def test_splot_output_identical(self, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        assert _write_toy_sample(data_csv, seed=94, scale=0.4) > 2 * CSV_BLOCK
+        fit_csv = tmp_path / "fit.csv"
+        assert run_cli("fit", "--input", str(data_csv), "--model", "gauss+exp",
+                       "--range", "0,10", "--init", "mean=4.9,sigma=0.55,tau=2.9",
+                       "--seed", "1", "--output", str(fit_csv)) == 0
+        w1, w2, w8 = self._outputs(tmp_path, "splot", "--input", str(data_csv), "--model",
+                                   "gauss+exp", "--range", "0,10", "--fit-result",
+                                   str(fit_csv), "--seed", "1")
+        assert len({w1, w2, w8}) == 1, "the bytes depend on the worker count"
+
+    def test_hist_output_identical(self, tmp_path):
+        csv = tmp_path / "x.csv"
+        x = np.random.default_rng(18).normal(0.5, 0.2, 50_000)
+        hk.ColumnStore.from_columns(hk.ColumnSchema.real64("x"), [x]).write_csv(str(csv))
+        w1, w2, w8 = self._outputs(tmp_path, "hist", "--input", str(csv), "--column", "x",
+                                   "--bins", str(3 * CSV_BLOCK + 5), "--lo", "0", "--hi", "1")
+        assert w1.count(b"\n") - 1 == 3 * CSV_BLOCK + 5
+        assert len({w1, w2, w8}) == 1, "the bytes depend on the worker count"
+
 
 class TestStreamedTables:
     """phsp and splot write their tables block by block straight to the

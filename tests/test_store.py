@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -389,15 +390,20 @@ KERNEL_INTS = np.concatenate([
 REALS_ONLY = hk.ColumnSchema.real64("a", "b")
 
 
-def _assert_written_as_per_row(store):
-    """The writer's bytes equal the per-row writer's; a failure names the
-    first line that differs rather than diffing whole files."""
-    got, want = store.to_csv().split("\n"), _per_row_csv(store).split("\n")
+def _assert_same_text(got, want, label=""):
+    """``got == want``; a failure names the first line that differs rather
+    than diffing whole files."""
     if got != want:
+        got, want = got.split("\n"), want.split("\n")
         line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
                     min(len(got), len(want)))
-        pytest.fail(f"line {line + 1}: wrote {got[line:line + 1]}, "
+        pytest.fail(f"{label}line {line + 1}: wrote {got[line:line + 1]}, "
                     f"expected {want[line:line + 1]}")
+
+
+def _assert_written_as_per_row(store):
+    """The writer's bytes equal the per-row writer's."""
+    _assert_same_text(store.to_csv(), _per_row_csv(store))
 
 
 class TestCsvKernel:
@@ -729,3 +735,241 @@ def test_warm_read_peaks_within_a_bound_of_its_columns(tmp_path):
         tracemalloc.stop()
     assert back.column("x0").tobytes() == x.tobytes()
     assert peak - x.nbytes <= 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_from_columns_rejects_a_column_that_is_not_1d():
+    # a (3, 2) column used to make a store of length 3 that failed later,
+    # in to_csv and in row(0)
+    schema = hk.ColumnSchema.real64("a", "b")
+    for bad, shape in ((np.zeros((3, 2)), "(3, 2)"), (1.5, "()")):
+        with pytest.raises(ValueError, match=rf"^column 'b' must be 1-D, got shape {re.escape(shape)}$"):
+            hk.ColumnStore.from_columns(schema, [np.zeros(3), bad])
+
+
+# -- the writer on the worker pool ---------------------------------------------
+
+# 13 columns, as hepkit phsp writes for three daughters: the writer splits
+# its blocks across workers
+WIDE_KINDS = ["real64"] * 9 + ["integer64"] * 2 + ["boolean"] * 2
+WIDE = hk.ColumnSchema(tuple((f"c{j}", kind) for j, kind in enumerate(WIDE_KINDS)))
+
+
+def _wide_store(rows, seed=0):
+    """A 13-column table whose reals and integers cycle through every value
+    that takes the '%.17g' fallback or a kernel edge (ties, subnormals,
+    +-0, +-inf, nan, |x| >= 1e280, INT64_MIN), mixed with ordinary ones."""
+    rng = np.random.default_rng(seed)
+    edges = np.concatenate(list(KERNEL_REALS.values()))
+    columns = []
+    for j, kind in enumerate(WIDE_KINDS):
+        if kind == "real64":
+            x = rng.normal(0.0, 0.3, rows)
+            pick = rng.random(rows) < 0.2
+            x[pick] = rng.choice(edges, size=int(pick.sum()))
+        elif kind == "integer64":
+            x = np.resize(np.roll(KERNEL_INTS, 97 * j), rows)
+        else:
+            x = rng.random(rows) < 0.5
+        columns.append(x)
+    return hk.ColumnStore.from_columns(WIDE, columns)
+
+
+class TestParallelWriter:
+    # B // 3 and B // 2 rows are about one part of a block at 8 and at 2 workers
+    @pytest.mark.parametrize("rows", [0, 1, B // 3, B // 2, B - 1, B, B + 1, 3 * B + 7])
+    def test_bytes_equal_per_row_writer_at_any_worker_count(self, rows, tmp_path):
+        s = _wide_store(rows, seed=rows)
+        want = _per_row_csv(s)
+        for workers in (1, 2, 8):
+            buf = io.StringIO()
+            s.write_csv(buf, workers)
+            _assert_same_text(buf.getvalue(), want, f"to a handle at {workers} workers, ")
+            path = tmp_path / f"w{workers}.csv"
+            s.write_csv(str(path), workers)
+            _assert_same_text(path.read_text(), want, f"to a path at {workers} workers, ")
+
+    def test_write_workers_sets_the_count_of_a_call_without_one(self, monkeypatch):
+        import hepkit.store as store
+
+        seen = []
+        monkeypatch.setattr(store, "csv_parts", lambda rows, width, w: seen.append(w) or (1, []))
+        s = _wide_store(3)
+        s.write_csv(io.StringIO())
+        with store.write_workers(3):
+            s.write_csv(io.StringIO())
+            s.write_csv(io.StringIO(), 2)
+        s.write_csv(io.StringIO())
+        assert seen == [1, 3, 2, 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8, 64, 10 ** 6])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 13, 1000, 10 ** 6])
+def test_csv_parts_cover_the_rows_in_order(workers, width):
+    # the plan alone, so that no count of workers starts a thread
+    from hepkit.store import CSV_PART_VALUES, csv_parts
+
+    for rows in (0, 1, 2, 5, B - 1, B, B + 1, 3 * B + 7):
+        per_block, parts = csv_parts(rows, width, workers)
+        assert 1 <= per_block <= min(workers, B)
+        assert per_block == 1 or B * width // per_block >= CSV_PART_VALUES
+        assert [a for a, _ in parts[1:]] == [b for _, b in parts[:-1]]
+        assert all(b - a >= 1 for a, b in parts)
+        assert len(parts) <= rows
+        assert (parts[0][0], parts[-1][1]) == (0, rows) if rows else parts == []
+        for start in range(0, rows, B):
+            block = [(a, b) for a, b in parts if start <= a < start + B]
+            assert len(block) <= per_block and block[-1][1] == min(start + B, rows)
+
+
+def test_csv_parts_split_only_wide_tables():
+    from hepkit.store import csv_parts
+
+    # hepkit splot's 2 columns and hist's 3 stay whole blocks on the calling thread
+    for width in (2, 3):
+        assert csv_parts(3 * B, width, 8) == (1, [(0, B), (B, 2 * B), (2 * B, 3 * B)])
+    # phsp's 13: a part per worker, 3 at most
+    assert csv_parts(B + 10, 13, 2) == (2, [(0, B // 2), (B // 2, B), (B, B + 5),
+                                            (B + 5, B + 10)])
+    assert csv_parts(B, 13, 8) == (3, [(0, 2730), (2730, 5461), (5461, B)])
+    assert csv_parts(B, 13, 1) == (1, [(0, B)])
+
+
+class _FailingHandle(io.StringIO):
+    """A text handle whose ``write`` raises ``error`` from its ``fail``-th
+    call on (the header is call 0)."""
+
+    def __init__(self, fail, error):
+        super().__init__()
+        self.fail, self.error, self.calls = fail, error, 0
+
+    def write(self, text):
+        self.calls += 1
+        if self.calls > self.fail:
+            raise self.error
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fail, error", [(0, OSError("disk full")), (3, OSError("disk full")),
+                                         (7, BrokenPipeError(32, "Broken pipe"))])
+def test_a_failing_write_leaves_no_part_running_and_no_text(fail, error, monkeypatch):
+    import threading
+    import time
+    import weakref
+
+    import hepkit.store as store
+
+    running, started, texts = [0], [0], []
+    lock = threading.Lock()
+    run_ordered, init = store.run_ordered, store._CsvText.__init__
+
+    def counted(fn, n, workers, window, consume):
+        def task(i):
+            with lock:
+                running[0] += 1
+                started[0] += 1
+            try:
+                time.sleep(0.005)    # so that parts are in flight when a write fails
+                return fn(i)
+            finally:
+                with lock:
+                    running[0] -= 1
+        return run_ordered(task, n, workers, window, consume)
+
+    def tracked_init(self, kinds):
+        init(self, kinds)
+        texts.append(weakref.ref(self))
+
+    monkeypatch.setattr(store, "run_ordered", counted)
+    monkeypatch.setattr(store._CsvText, "__init__", tracked_init)
+    s = _wide_store(4 * B, seed=5)
+    handle = _FailingHandle(fail, error)
+    with pytest.raises(type(error)) as info:
+        s.write_csv(handle, 2)
+    assert info.value is error
+    assert running[0] == 0
+    assert started[0] <= fail + 2        # the parts written and the window
+    count = started[0]
+    time.sleep(0.05)                     # nothing starts after the call either
+    assert started[0] == count and running[0] == 0
+    assert len(texts) == (2 if fail else 0)    # a failed header starts no part
+    assert all(ref() is None for ref in texts)
+
+
+def test_warm_parallel_write_peaks_within_one_threads_memory(tmp_path):
+    # the parts in flight hold one block's rows for any worker count, so a
+    # warm 13-column write of 1e5 rows at 2 workers peaks no higher than at
+    # 1, within 1 MiB (both 20–22 MiB traced: the kernel's arrays for a
+    # block and two block texts); with a whole block per worker it peaked
+    # twice as high, and phsp_csv's resident peak rose 30%
+    s = _wide_store(100_000, seed=7)
+    path = str(tmp_path / "w.csv")
+    peaks = {}
+    for workers in (1, 2):
+        s.write_csv(path, workers)
+        tracemalloc.start()
+        try:
+            s.write_csv(path, workers)
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + 2**20, {w: f"{p / 2**20:.2f} MiB" for w, p in peaks.items()}
+
+
+@pytest.mark.parametrize("kind", ["real64", "integer64", "boolean"])
+def test_warm_kernel_allocates_no_value_sized_array(kind):
+    # deterministic where fault counts sample the heap layout: a warm call
+    # of a kind's kernel writes into its _CsvText scratch, so it allocates
+    # nothing of a byte per value, only numpy's cast buffers (at most
+    # np.getbufsize() elements) and the index arrays of the rare values in
+    # scientific notation or on the '%.17g' fallback
+    import hepkit.store as store
+
+    n = 2**18
+    rng = np.random.default_rng(9)
+    x = {"real64": rng.normal(0.0, 0.3, n), "integer64": np.resize(KERNEL_INTS, n),
+         "boolean": rng.random(n) < 0.5}[kind]
+    text = store._CsvText([kind])
+    out = text.scratch("out", (store._SLOTS, n), np.uint8)
+    store._KIND_SLOTS[kind](x, out, text.scratch)
+    tracemalloc.start()
+    try:
+        store._KIND_SLOTS[kind](x, out, text.scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 4, f"{peak} bytes"
+
+
+def test_warm_block_allocates_its_text_and_no_more():
+    # the whole call: the kernel's scratch, then the text, once as the
+    # array the zero slots are dropped from and once as the str returned
+    import hepkit.store as store
+
+    s = _wide_store(B, seed=10)
+    columns = [s.column(name) for name in WIDE.names]
+    text = store._CsvText(WIDE.kinds)
+    text(columns)
+    tracemalloc.start()
+    try:
+        out = text(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(out) + B * len(WIDE) // 4, f"{peak} bytes for {len(out)} characters"
+
+
+def test_parallel_writer_under_forced_thread_switches():
+    # more workers than cores and a switch interval of 1 us: a part reuses
+    # a _CsvText only after the part before it is written, so the texts
+    # stay whole however the threads interleave
+    s = _wide_store(5 * B + 3, seed=11)
+    want = _per_row_csv(s)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (3, 8):
+            buf = io.StringIO()
+            s.write_csv(buf, workers)
+            _assert_same_text(buf.getvalue(), want, f"at {workers} workers, ")
+    finally:
+        sys.setswitchinterval(interval)
