@@ -214,24 +214,24 @@ class ColumnStore:
     # lines are skipped.  A rejected line or token raises a one-line
     # ValueError naming the line and the column.
 
-    def write_csv(self, path_or_file, workers: int | None = None) -> None:
+    def write_csv(self, path_or_file) -> None:
         """Writes the table to a path or an open text file.  Its blocks are
-        formatted on ``workers`` threads (0 = every core; None = the count
-        of an enclosing ``write_workers`` block, else 1): each block is
-        split into the parts of ``csv_parts``, each part is formatted on a
-        pool thread into a _CsvText of its own, and the calling thread
-        writes the texts in row order.  The rows in flight are one block's
-        worth for any worker count, so memory stays that of one thread, and
-        the bytes are the same for any count: a row's text depends only on
-        its values."""
+        formatted on the worker count of an enclosing ``write_workers``
+        block (1 outside one): each block is split into the parts of
+        ``csv_parts``, each part is formatted on a pool thread into a
+        _CsvText of its own, and the calling thread writes the texts in row
+        order.  The rows in flight are one block's worth for any worker
+        count, so memory stays that of one thread, and the bytes are the
+        same for any count: a row's text depends only on its values."""
+        columns = [self._data[name] for name in self.schema.names]
+        # planned before the file is opened, so a bad count truncates nothing
+        w = resolve_workers(_WRITE_WORKERS.get())
+        window, parts = csv_parts(self._len, len(columns), w)
         own = isinstance(path_or_file, (str, bytes))
         fh = open(path_or_file, "w") if own else path_or_file
         texts: list[_CsvText] = []
         try:
             fh.write(",".join(self.schema.names) + "\n")
-            columns = [self._data[name] for name in self.schema.names]
-            w = resolve_workers(_WRITE_WORKERS.get() if workers is None else workers)
-            window, parts = csv_parts(self._len, len(columns), w)
             # part i uses text i % window: run_ordered starts it only after
             # part i - window, the text's last user, is done
             texts += [_CsvText(self.schema.kinds) for _ in range(window)]
@@ -252,18 +252,18 @@ class ColumnStore:
         return buf.getvalue()
 
 
-# The worker count of a write_csv called without one.
+# The worker count of write_csv.
 _WRITE_WORKERS: contextvars.ContextVar[int | None] = contextvars.ContextVar(
     "write_workers", default=1)
 
 
 @contextlib.contextmanager
 def write_workers(workers: int | None):
-    """Within the block, ``ColumnStore.write_csv`` called without a worker
-    count formats on ``workers`` threads (0 or None = every core).  The CLI
-    passes its --workers this way, so that a wrapper of write_csv that
-    passes on only the destination, as perfbench's tracer does, still
-    writes on every worker."""
+    """Within the block, ``ColumnStore.write_csv`` formats on ``workers``
+    threads (0 or None = every core).  The writer takes its count this way
+    rather than as an argument, so that a wrapper of write_csv that passes
+    on only the destination, as perfbench's tracer does, still writes on
+    every worker."""
     token = _WRITE_WORKERS.set(workers)
     try:
         yield
@@ -295,14 +295,16 @@ def csv_parts(rows: int, width: int, workers: int) -> tuple[int, list[tuple[int,
 # only into parts of at least CSV_PART_VALUES values, at most one per
 # worker, so that the parts in flight hold one block's rows and their
 # arrays total one thread's (179 bytes a real64 value, 19 MB for a block
-# of 13 columns).  A narrow table, 3 columns or fewer, is not split and is
-# written on the calling thread.  Every value gets a fixed row of _SLOTS
-# byte slots; a slot that the value's text does not use holds 0.  The slots
-# are built slot-major, one 1-D call per slot across all of a kind's
-# values, and one boolean index over their value-major transpose drops the
-# zeros: that joins the values, separators and newlines into the block's
-# text.  integer64 and the real64 digits come from one routine (groups of
-# four digits from a 10**4-entry table), booleans from a two-row table.
+# of 13 columns).  CSV_BLOCK * width // CSV_PART_VALUES is width // 4, so
+# a table of 7 columns or fewer is not split and is written on the calling
+# thread, and a block gets at most width // 4 parts for any worker count.
+# Every value gets a fixed row of _SLOTS byte slots; a slot that the
+# value's text does not use holds 0.  The slots are built slot-major, one
+# 1-D call per slot across all of a kind's values, and one boolean index
+# over their value-major transpose drops the zeros: that joins the values,
+# separators and newlines into the block's text.  integer64 and the real64
+# digits come from one routine (groups of four digits from a 10**4-entry
+# table); a boolean's slots hold 'false', its bits flipped to 'true' where set.
 #
 # real64 is exact by construction, with no approximate path.  Its domain is
 # finite x with 1e-280 < |x| < 1e280.  There E = floor(log10|x|) is
@@ -337,9 +339,9 @@ _TIE_BOUND = 2.0 ** -40
 # 10**(16 - E) for every E that floor(log10|x|) gives on the domain, with
 # one of margin on each side for log10's rounding
 _POW_MIN, _POW_MAX = -264, 297
-# the boolean slots: 'false', and what turns it into 'true\0' (modulo 256)
+# the boolean slots: 'false', and the bits in which 'true\0' differs from it
 _BOOLEAN_SLOTS = np.frombuffer(b"false", np.uint8), \
-    np.frombuffer(b"true\0", np.uint8) - np.frombuffer(b"false", np.uint8)
+    np.frombuffer(b"false", np.uint8) ^ np.frombuffer(b"true\0", np.uint8)
 
 
 @functools.cache
@@ -548,9 +550,11 @@ def _integer_slots(x: np.ndarray, out: np.ndarray, scratch) -> None:
 
 
 def _boolean_slots(x: np.ndarray, out: np.ndarray, scratch) -> None:
-    for row, false, step in zip(out, *_BOOLEAN_SLOTS):
-        np.multiply(x, step, out=row)
-        row += false
+    # 'false', with the bits that make it 'true\0' flipped where x is set; a
+    # masked copy of 'true' would do the same 40 times slower
+    for row, false, flip in zip(out, *_BOOLEAN_SLOTS):
+        np.multiply(x, flip, out=row)
+        row ^= false
     out[5:_SEPARATOR] = 0
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hepkit as hk
-from hepkit.store import CSV_BLOCK, read_csv
+from hepkit.store import CSV_BLOCK, read_csv, write_workers
 
 
 def test_create_empty():
@@ -782,24 +782,36 @@ class TestParallelWriter:
         want = _per_row_csv(s)
         for workers in (1, 2, 8):
             buf = io.StringIO()
-            s.write_csv(buf, workers)
-            _assert_same_text(buf.getvalue(), want, f"to a handle at {workers} workers, ")
             path = tmp_path / f"w{workers}.csv"
-            s.write_csv(str(path), workers)
+            with write_workers(workers):
+                s.write_csv(buf)
+                s.write_csv(str(path))
+            _assert_same_text(buf.getvalue(), want, f"to a handle at {workers} workers, ")
             _assert_same_text(path.read_text(), want, f"to a path at {workers} workers, ")
 
-    def test_write_workers_sets_the_count_of_a_call_without_one(self, monkeypatch):
+    def test_write_workers_sets_the_count_for_its_block(self, monkeypatch):
         import hepkit.store as store
 
         seen = []
         monkeypatch.setattr(store, "csv_parts", lambda rows, width, w: seen.append(w) or (1, []))
         s = _wide_store(3)
         s.write_csv(io.StringIO())
-        with store.write_workers(3):
+        with write_workers(3):
             s.write_csv(io.StringIO())
-            s.write_csv(io.StringIO(), 2)
         s.write_csv(io.StringIO())
-        assert seen == [1, 3, 2, 1]
+        assert seen == [1, 3, 1]
+
+    def test_a_negative_count_raises_before_the_file_is_touched(self, tmp_path):
+        path = tmp_path / "kept.csv"
+        path.write_text("x\n1\n")
+        handle = io.StringIO()
+        with write_workers(-1):
+            with pytest.raises(ValueError, match="workers must be >= 0"):
+                _wide_store(3).write_csv(str(path))
+            with pytest.raises(ValueError, match="workers must be >= 0"):
+                _wide_store(3).write_csv(handle)
+        assert path.read_text() == "x\n1\n"
+        assert handle.getvalue() == ""
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8, 64, 10 ** 6])
@@ -824,14 +836,17 @@ def test_csv_parts_cover_the_rows_in_order(workers, width):
 def test_csv_parts_split_only_wide_tables():
     from hepkit.store import csv_parts
 
-    # hepkit splot's 2 columns and hist's 3 stay whole blocks on the calling thread
-    for width in (2, 3):
+    # up to 7 columns, splot's 2 and hist's 3 among them, blocks stay whole
+    # on the calling thread
+    for width in (1, 2, 3, 7):
         assert csv_parts(3 * B, width, 8) == (1, [(0, B), (B, 2 * B), (2 * B, 3 * B)])
     # phsp's 13: a part per worker, 3 at most
     assert csv_parts(B + 10, 13, 2) == (2, [(0, B // 2), (B // 2, B), (B, B + 5),
                                             (B + 5, B + 10)])
     assert csv_parts(B, 13, 8) == (3, [(0, 2730), (2730, 5461), (5461, B)])
     assert csv_parts(B, 13, 1) == (1, [(0, B)])
+    # at most width // 4 parts a block, whatever the worker count
+    assert csv_parts(B, 8, 8)[0] == 2 and csv_parts(B, 13, 10 ** 6)[0] == 3
 
 
 class _FailingHandle(io.StringIO):
@@ -883,8 +898,8 @@ def test_a_failing_write_leaves_no_part_running_and_no_text(fail, error, monkeyp
     monkeypatch.setattr(store._CsvText, "__init__", tracked_init)
     s = _wide_store(4 * B, seed=5)
     handle = _FailingHandle(fail, error)
-    with pytest.raises(type(error)) as info:
-        s.write_csv(handle, 2)
+    with pytest.raises(type(error)) as info, write_workers(2):
+        s.write_csv(handle)
     assert info.value is error
     assert running[0] == 0
     assert started[0] <= fail + 2        # the parts written and the window
@@ -905,13 +920,14 @@ def test_warm_parallel_write_peaks_within_one_threads_memory(tmp_path):
     path = str(tmp_path / "w.csv")
     peaks = {}
     for workers in (1, 2):
-        s.write_csv(path, workers)
-        tracemalloc.start()
-        try:
-            s.write_csv(path, workers)
-            peaks[workers] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with write_workers(workers):
+            s.write_csv(path)
+            tracemalloc.start()
+            try:
+                s.write_csv(path)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
     assert peaks[2] <= peaks[1] + 2**20, {w: f"{p / 2**20:.2f} MiB" for w, p in peaks.items()}
 
 
@@ -969,7 +985,8 @@ def test_parallel_writer_under_forced_thread_switches():
     try:
         for workers in (3, 8):
             buf = io.StringIO()
-            s.write_csv(buf, workers)
+            with write_workers(workers):
+                s.write_csv(buf)
             _assert_same_text(buf.getvalue(), want, f"at {workers} workers, ")
     finally:
         sys.setswitchinterval(interval)
