@@ -67,6 +67,9 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_range(text: str) -> tuple[float, float]:
     vals = _parse_floats(text)
+    for x in vals:
+        if not np.isfinite(x):
+            raise UsageError(f"range bound {x} in {text!r} is not finite")
     if len(vals) != 2 or not vals[0] < vals[1]:
         raise UsageError(f"expected 'lo,hi' with lo < hi, got {text!r}")
     return vals[0], vals[1]
@@ -276,6 +279,8 @@ def cmd_toys(args) -> int:
     init = _parse_assignments(args.init)
     fixed = _parse_names(args.fix)
     if args.events is not None:
+        if not 0.0 < args.events < np.inf:
+            raise UsageError(f"--events must be finite and > 0, got {args.events}")
         probe = build_model(args.model, bounds, init, fixed)
         total = probe.expected_total()
         scale = args.events / total
@@ -339,6 +344,9 @@ def cmd_splot(args) -> int:
 def cmd_hist(args) -> int:
     store = read_csv(args.input)
     data = store.column(args.column)
+    for flag, x in (("--lo", args.lo), ("--hi", args.hi)):
+        if not np.isfinite(x):
+            raise UsageError(f"{flag} {x} is not finite")
     if args.bins < 1 or not args.lo < args.hi:
         raise UsageError("need --bins >= 1 and --lo < --hi")
     weights = None

@@ -121,12 +121,19 @@ def _gk15_panel(expr: FunctorExpr, a: float, b: float) -> tuple[float, float]:
     return k15, err
 
 
-def gk15_static(expr: FunctorExpr, a: float, b: float) -> IntegrationResult:
-    """Single-panel G7K15; exact for polynomials up to degree 13 (Gauss floor)."""
+def _check_interval(expr: FunctorExpr, a: float, b: float) -> None:
+    for side, x in (("lower", a), ("upper", b)):
+        if not math.isfinite(x):
+            raise ValueError(f"{side} limit {x} is not finite")
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if expr.arity != 1:
         raise ValueError("quadrature is one-dimensional")
+
+
+def gk15_static(expr: FunctorExpr, a: float, b: float) -> IntegrationResult:
+    """Single-panel G7K15; exact for polynomials up to degree 13 (Gauss floor)."""
+    _check_interval(expr, a, b)
     value, err = _gk15_panel(expr, a, b)
     return IntegrationResult(value=value, error=err, iterations=1, calls_used=15)
 
@@ -142,12 +149,11 @@ def gk_adaptive(
     error estimate is within rel_tol of the integral, or the interval
     budget is spent (flagged by iterations == max_intervals).
     """
-    if rel_tol < 1e-14:
-        raise ValueError(f"rel_tol must be >= 1e-14, got {rel_tol}")
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if expr.arity != 1:
-        raise ValueError("quadrature is one-dimensional")
+    if not 1e-14 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and >= 1e-14, got {rel_tol}")
+    if max_intervals < 1:
+        raise ValueError(f"max_intervals must be >= 1, got {max_intervals}")
+    _check_interval(expr, a, b)
     val, err = _gk15_panel(expr, a, b)
     heap = [(-err, 0, a, b, val, err)]
     seq = 1
@@ -284,6 +290,8 @@ def vegas(
             f"calls_per_iteration must be >= 2*bins*dims = {2 * bins * d}, got {calls}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     check_span(key, iterations * calls, d)
     grid = VegasGrid.uniform(region, bins)
     estimates: list[tuple[float, float]] = []

@@ -14,10 +14,18 @@ workers.  A batch whose rows are rebuilt call after call can write them
 into its thread's ``workspace``, so repeated calls reuse that memory
 instead of allocating (and page-faulting) it afresh.
 
-A stream whose results must be consumed in order as they come, the CSV
-writer's text parts, runs through ``run_ordered`` instead: its calls run
-on the same pools, a bounded window of them at a time, and the calling
-thread consumes each result in index order.
+Both ``run_batches`` and a stream whose results must be consumed in order
+as they come, the CSV writer's text parts, run through ``run_ordered``: a
+bounded window of calls at a time, each result consumed on the calling
+thread in index order.  There is one pool for the process.  It grows to
+the largest worker count any call has asked for, and a call never has
+more than its own worker count of tasks in flight, so a 2-worker call
+keeps to 2 threads of a pool grown to 8.  A parallel call made on a pool
+thread, such as a fit inside a task, runs serially on that thread: it
+cannot wait for threads that are busy with its caller, and its results
+are the same for any worker count.  Such a call runs its batches on its
+caller's thread, through that thread's ``workspace``, so a batch must not
+hold a workspace across a nested call.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import collections
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -39,21 +47,33 @@ chunking coincides with the global chunk grid."""
 
 T = TypeVar("T")
 
-# pools are cached per worker count: spawning threads per call would
-# dominate operations that finish in milliseconds
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_lock = threading.Lock()
+# one pool, replaced by a larger one when a call asks for more workers;
+# spawning threads per call would dominate operations that finish in
+# milliseconds
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
 
-_scratch = threading.local()
+# per thread: the workspace buffer, and whether the thread is the pool's
+_thread = threading.local()
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    with _pools_lock:
-        pool = _pools.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            _pools[workers] = pool
-        return pool
+def _mark_pool_thread() -> None:
+    _thread.in_pool = True
+
+
+def _submit(workers: int, fn: Callable[[int], T], i: int) -> Future:
+    """``fn(i)`` on the pool, first replaced by one of ``workers`` threads
+    if smaller.  The old pool is shut down under the lock, so nothing
+    submits to it after; its queued calls still run."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < workers:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
+            _pool_size = workers
+        return _pool.submit(fn, i)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -77,15 +97,16 @@ def run_batches(
     batch: int = EVAL_BATCH,
 ) -> list[T]:
     """Run ``fn(start, stop)`` over every batch window; results in batch order.
+    The windows are ``run_ordered``'s calls, at most ``workers`` at a time.
 
     ``fn`` must be pure in the sense that its result depends only on
     (start, stop) and on state that is frozen for the duration of the call.
     """
     ranges = batch_ranges(n, batch)
+    out: list[T] = []
     w = resolve_workers(workers)
-    if w <= 1 or len(ranges) <= 1:
-        return [fn(a, b) for a, b in ranges]
-    return list(_pool(w).map(lambda r: fn(r[0], r[1]), ranges))
+    run_ordered(lambda i: fn(*ranges[i]), len(ranges), w, w, out.append)
+    return out
 
 
 def run_ordered(
@@ -96,30 +117,30 @@ def run_ordered(
     consume: Callable[[T], object],
 ) -> None:
     """``consume(fn(i))`` for i = 0 .. n-1, in that order.  ``fn`` runs on
-    the pool, at most ``window`` calls at a time, and ``consume`` on the
-    calling thread; call i + window is submitted only once result i is
-    taken, so a caller can hand call i's resources on to it.  With one
-    worker, a window of one or a single call, everything runs on the
-    calling thread.
+    the pool, at most ``min(window, workers)`` calls at a time, and
+    ``consume`` on the calling thread; call i + window is submitted only
+    once result i is taken, so a caller can hand call i's resources on to
+    it.  With one worker, a window of one or a single call, or on a pool
+    thread, everything runs on the calling thread.
 
     If ``fn`` or ``consume`` raises, the calls in flight are waited for
     before the error propagates: none of them outlives this call.
     """
     w = resolve_workers(workers)
-    if w <= 1 or window <= 1 or n <= 1:
+    window = min(window, w)
+    if window <= 1 or n <= 1 or getattr(_thread, "in_pool", False):
         for i in range(n):
             consume(fn(i))
         return
-    pool = _pool(w)
     pending: collections.deque = collections.deque()
     try:
         for i in range(n):
             if len(pending) == window:
                 done = pending.popleft().result()
-                pending.append(pool.submit(fn, i))
+                pending.append(_submit(w, fn, i))
                 consume(done)
             else:
-                pending.append(pool.submit(fn, i))
+                pending.append(_submit(w, fn, i))
         while pending:
             consume(pending.popleft().result())
     finally:
@@ -156,10 +177,10 @@ def workspace(rows: int, m: int) -> np.ndarray:
     and is never shrunk.
     """
     need = rows * m
-    buf = getattr(_scratch, "buf", None)
+    buf = getattr(_thread, "buf", None)
     if buf is None or buf.size < need:
-        buf = _scratch.buf = None    # drop the old buffer before allocating
-        buf = _scratch.buf = np.empty(rows * (-(-m // CHUNK) * CHUNK))
+        buf = _thread.buf = None    # drop the old buffer before allocating
+        buf = _thread.buf = np.empty(rows * (-(-m // CHUNK) * CHUNK))
     return buf[:need].reshape(rows, m)
 
 

@@ -84,6 +84,9 @@ class BoundedRegion:
         if len(self.bounds) < 1:
             raise ValueError("region needs at least one dimension")
         for d, (lo, hi) in enumerate(self.bounds):
+            for side, x in (("lower", lo), ("upper", hi)):
+                if not math.isfinite(x):
+                    raise ValueError(f"dimension {d}: {side} bound {x} is not finite")
             if not lo < hi:
                 raise ValueError(f"dimension {d}: lower {lo} must be < upper {hi}")
 
@@ -143,15 +146,17 @@ def uniform(key: RngKey) -> float:
 
 
 def gaussian_array(key: RngKey, indices: np.ndarray) -> np.ndarray:
-    """Standard normal deviates; draw index i consumes counters (2i, 2i+1).
+    """Standard normal deviates; draw i is event i of ``key`` with width 2,
+    so the key at counter k draws deviates k, k + 1, ... of the key at
+    counter 0.
 
-    Box-Muller on the two uniforms; the log argument uses 1-u so it lives
-    in (0, 1] and never hits log(0).
+    Box-Muller on the event's two uniforms; the log argument uses 1-u so it
+    lives in (0, 1] and never hits log(0).
     """
     idx = np.asarray(indices, dtype=np.uint64)
-    u1 = uniform_array(key, idx * np.uint64(2))
-    u2 = uniform_array(key, idx * np.uint64(2) + np.uint64(1))
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    check_span(key, int(idx.max(initial=0)) + 1, 2)
+    u = event_uniforms(key, idx, 2)
+    return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
 
 
 def poisson_deviate(key: RngKey, lam: float) -> int:
@@ -168,7 +173,7 @@ def poisson_deviate(key: RngKey, lam: float) -> int:
 
 def gaussian_deviate(key: RngKey) -> float:
     """Single standard normal deviate; key.counter is the draw index."""
-    return float(gaussian_array(key.at(0), np.array([_u64(key.counter)]))[0])
+    return float(gaussian_array(key, [0])[0])
 
 
 def check_span(key: RngKey, n: int, width: int) -> None:

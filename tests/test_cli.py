@@ -117,6 +117,30 @@ class TestIntegrate:
         ]
 
 
+    @pytest.mark.parametrize("args, code, error", [
+        (["--method", "plain", "--range", "0,inf"], 2,
+         "usage error: range bound inf in '0,inf' is not finite"),
+        (["--method", "gk", "--range", "0,inf"], 2,
+         "usage error: range bound inf in '0,inf' is not finite"),
+        (["--method", "vegas", "--range", "nan,1"], 2,
+         "usage error: range bound nan in 'nan,1' is not finite"),
+        (["--method", "vegas", "--alpha", "nan"], 1,
+         "error: alpha must be finite and >= 0, got nan"),
+        (["--method", "vegas", "--alpha", "-1"], 1,
+         "error: alpha must be finite and >= 0, got -1.0"),
+        (["--method", "gk-adaptive", "--rel-tol", "nan"], 1,
+         "error: rel_tol must be finite and >= 1e-14, got nan"),
+        (["--method", "gk-adaptive", "--max-intervals", "0"], 1,
+         "error: max_intervals must be >= 1, got 0"),
+    ])
+    def test_setting_rejected_in_one_line(self, capsys, args, code, error):
+        assert run_cli("integrate", *args, "--calls", "1000", "--bins", "5",
+                       "--seed", "0") == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [error]
+
+
 def _write_toy_sample(path, seed=90, scale=0.04):
     from toymodel import build_model
 
@@ -158,6 +182,17 @@ class TestFitCommand:
         assert float(rows["tau"][1]) == 3.0
         assert rows["mean"][2] == ""    # fixed parameters carry no error
 
+    def test_non_finite_range_rejected_in_one_line(self, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        _write_toy_sample(data_csv)
+        assert run_cli("fit", "--input", str(data_csv), "--model", "exp",
+                       "--range", "0,inf", "--init", "tau=2.0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [
+            "usage error: range bound inf in '0,inf' is not finite"
+        ]
+
 
 class TestToysCommand:
     def test_toy_output_format(self, capsys):
@@ -182,6 +217,19 @@ class TestToysCommand:
         assert captured.out == out
         errors = [l for l in captured.err.splitlines() if not l.startswith("# ")]
         assert errors == ([f"usage error: --n must be at least 0, got {n}"] if code else [])
+
+
+    @pytest.mark.parametrize("events", ["nan", "inf", "0", "-5"])
+    def test_event_count_rejected_in_one_line(self, capsys, events):
+        assert run_cli("toys", "--n", "1", "--events", events, "--model", "gauss+exp",
+                       "--range", "0,10",
+                       "--init", "mean=5.0,sigma=0.5,tau=3.0,n_gauss=400,n_exp=600",
+                       "--seed", "5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [
+            f"usage error: --events must be finite and > 0, got {float(events)}"
+        ]
 
 
 class TestSplotCommand:
@@ -280,6 +328,22 @@ class TestHist:
         code = run_cli("hist", "--input", str(csv), "--column", "nope",
                        "--bins", "1", "--lo", "0", "--hi", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("lo, hi, error", [
+        ("0", "inf", "usage error: --hi inf is not finite"),
+        ("nan", "1", "usage error: --lo nan is not finite"),
+    ])
+    def test_non_finite_bound_rejected_in_one_line(self, tmp_path, capsys, lo, hi, error):
+        csv = tmp_path / "x.csv"
+        hk.ColumnStore.from_columns(
+            hk.ColumnSchema.real64("x"), [np.array([1.0])]
+        ).write_csv(str(csv))
+        code = run_cli("hist", "--input", str(csv), "--column", "x",
+                       "--bins", "3", "--lo", lo, "--hi", hi)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [error]
 
 
 class TestConfigFile:

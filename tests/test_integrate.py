@@ -111,6 +111,28 @@ class TestGkAdaptive:
         with pytest.raises(ValueError):
             hk.gk_adaptive(_poly([1]), 0.0, 1.0, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"rel_tol": math.nan}, "rel_tol must be finite and >= 1e-14, got nan"),
+        ({"rel_tol": math.inf}, "rel_tol must be finite and >= 1e-14, got inf"),
+        ({"max_intervals": 0}, "max_intervals must be >= 1, got 0"),
+        ({"max_intervals": -3}, "max_intervals must be >= 1, got -3"),
+    ])
+    def test_settings_rejected_in_one_line(self, kwargs, error):
+        with pytest.raises(ValueError) as info:
+            hk.gk_adaptive(_poly([1]), 0.0, 1.0, **kwargs)
+        assert str(info.value) == error
+
+    @pytest.mark.parametrize("quad", [hk.gk15_static, hk.gk_adaptive])
+    @pytest.mark.parametrize("a, b, error", [
+        (0.0, math.inf, "upper limit inf is not finite"),
+        (-math.inf, 0.0, "lower limit -inf is not finite"),
+        (math.nan, 1.0, "lower limit nan is not finite"),
+    ])
+    def test_non_finite_limit_named(self, quad, a, b, error):
+        with pytest.raises(ValueError) as info:
+            quad(_poly([1]), a, b)
+        assert str(info.value) == error
+
 
 def _product_gaussian(dim, mean=0.5, sigma=0.1):
     m = hk.Parameter("mean", mean)
@@ -123,6 +145,13 @@ def _product_gaussian(dim, mean=0.5, sigma=0.1):
 
 
 class TestVegas:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    def test_alpha_rejected_in_one_line(self, alpha):
+        region = hk.BoundedRegion.cube(0, 1, 1)
+        with pytest.raises(ValueError) as info:
+            hk.vegas(_flat(1), region, 1000, hk.RngKey(5, 3), alpha=alpha)
+        assert str(info.value) == f"alpha must be finite and >= 0, got {alpha}"
+
     def test_constant_is_exact(self):
         region = hk.BoundedRegion.cube(0, 1, 2)
         r, _ = hk.vegas(_flat(2), region, 2000, hk.RngKey(5, 3), iterations=4)

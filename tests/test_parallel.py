@@ -1,5 +1,11 @@
 """The one reduction primitive: per-chunk sums and their ordered fold."""
 
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -67,3 +73,184 @@ def test_workspace_is_per_thread_and_grows_on_demand():
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert not np.shares_memory(other[0], larger)
+
+
+# -- the one pool -------------------------------------------------------
+# Each check below runs in a fresh interpreter: a hang then fails at the
+# timeout instead of stalling the run, and the pool starts out empty.
+
+
+def _in_subprocess(code: str, timeout: float = 120.0) -> str:
+    paths = [str(pathlib.Path(hk.__file__).parent.parent), str(pathlib.Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_parallel_calls_nested_in_ordered_tasks_finish_with_1_worker_bytes():
+    out = _in_subprocess("""
+        import hashlib
+        import numpy as np
+        import hepkit as hk
+        from hepkit.parallel import chunk_sums, fold, run_batches, run_ordered
+        from toymodel import build_model
+
+        spec = hk.DecaySpec(3.0, (0.5, 0.5, 0.5))
+        mother = hk.FourVector.at_rest(3.0)
+
+        def task(w, i):
+            terms = lambda a, b: chunk_sums(np.sin(np.arange(a, b, dtype=float))[None] * 1e3)
+            total = fold(run_batches(terms, 3 * 4096, w, batch=4096))
+            ev = hk.phsp_generate(spec, mother, 3000, hk.RngKey(8, 1, counter=3000 * i),
+                                  workers=w)
+            model = build_model(scale=0.05)
+            sample = hk.generate_model_sample(model, hk.RngKey(9, 2).child(i), workers=w)
+            result = hk.fit(model, sample, ["x0"], workers=w)
+            values = [p.value for p in result.params] + [result.nll_min]
+            return b"".join([total.tobytes(), np.asarray(values).tobytes(),
+                             *(ev.column(n).tobytes() for n in ev.schema.names)])
+
+        for w in (1, 2, 8):
+            digest = hashlib.sha256()
+            run_ordered(lambda i: task(w, i), 4, w, w, digest.update)
+            print(digest.hexdigest())
+    """)
+    digests = out.split()
+    assert len(digests) == 3 and len(set(digests)) == 1
+
+
+def test_threads_after_a_worker_count_sweep_stay_within_the_largest_count():
+    out = _in_subprocess("""
+        import io, threading, time
+        import numpy as np
+        import hepkit as hk
+        from hepkit.parallel import run_batches
+
+        table = hk.ColumnStore.from_columns(
+            hk.ColumnSchema.real64(*(f"c{k}" for k in range(13))), [np.arange(20000.0)] * 13)
+        for w in range(1, 7):
+            with hk.store.write_workers(w):
+                table.write_csv(io.StringIO())
+            run_batches(lambda a, b: b - a, 12 * 4096, w, batch=4096)
+        # a replaced pool's threads exit once they see its shutdown
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() - 1 > 6 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        print(threading.active_count() - 1)
+    """)
+    assert 1 <= int(out) <= 6
+
+
+def test_a_call_keeps_to_its_worker_count_on_a_larger_pool():
+    out = _in_subprocess("""
+        import threading
+        from hepkit.parallel import run_batches
+
+        run_batches(lambda a, b: None, 16, 8, batch=1)    # the pool grows to 8
+        lock, running, peak = threading.Lock(), [0], [0]
+        pair = threading.Barrier(2, timeout=30)    # fails unless 2 run at once
+
+        def task(a, b):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            pair.wait()
+            with lock:
+                running[0] -= 1
+            return a
+
+        assert run_batches(task, 16, 2, batch=1) == list(range(16))
+        print(peak[0])
+    """)
+    assert int(out) == 2
+
+
+def test_the_pool_grows_from_another_thread_while_a_call_submits():
+    out = _in_subprocess("""
+        import threading
+        from hepkit import parallel
+
+        started, resume = threading.Event(), threading.Event()
+        pools, results, errors = set(), [], []
+
+        def task(i):
+            pools.add(threading.current_thread().name.split("_")[0])
+            if i == 3:
+                started.set()
+                assert resume.wait(30)
+            return i * i
+
+        def call():
+            try:
+                parallel.run_ordered(task, 12, 2, 2, results.append)
+            except BaseException as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        assert started.wait(30)
+        parallel.run_batches(lambda a, b: b - a, 8, 8, batch=1)    # grows the pool mid-call
+        assert parallel._pool_size == 8 and caller.is_alive()
+        resume.set()
+        caller.join(30)
+        assert not caller.is_alive() and errors == [], errors
+        assert results == [i * i for i in range(12)]
+        print(len(pools))
+    """)
+    assert int(out) == 2    # the call's later tasks ran on the grown pool
+
+
+def test_calls_from_several_threads_under_forced_thread_switches():
+    out = _in_subprocess("""
+        import sys, threading
+        from hepkit.parallel import run_batches
+
+        results, errors = [], []
+
+        def user(t):
+            try:
+                for k in range(40):
+                    w = 2 + (t + k) % 7    # the pool grows while others submit
+                    n = 3 + (t * k) % 11
+                    results.append(run_batches(lambda a, b: (t, a, b), n, w, batch=1)
+                                   == [(t, i, i + 1) for i in range(n)])
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            users = [threading.Thread(target=user, args=(t,)) for t in range(4)]
+            for u in users:
+                u.start()
+            for u in users:
+                u.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(u.is_alive() for u in users) and errors == [], errors
+        print(len(results), all(results))
+    """)
+    assert out.split() == ["160", "True"]
+
+
+# The pool in parallel.py is the package's only source of threads: a
+# second executor would bring back idle pools and nested waits.
+_THREAD_MAKERS = re.compile(r"\b(?:ThreadPoolExecutor|threading\.Thread)\(")
+
+
+def test_guard_pattern_catches_thread_makers():
+    for line in ["pool = ThreadPoolExecutor(max_workers=w)",
+                 "t = threading.Thread(target=work)"]:
+        assert _THREAD_MAKERS.search(line), line
+    assert not _THREAD_MAKERS.search("from .parallel import run_batches, run_ordered")
+
+
+def test_no_threads_started_outside_parallel():
+    src = pathlib.Path(hk.__file__).parent
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py")) if path.name != "parallel.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if _THREAD_MAKERS.search(line)]
+    assert found == []

@@ -120,6 +120,22 @@ class TestGaussianDeviate:
         z = gaussian_array(hk.RngKey(32), np.arange(1_000_000, dtype=np.uint64))
         assert abs(float(np.mean(z))) < 0.005
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 1 << 40])
+    def test_key_at_counter_k_draws_deviates_k_on(self, k):
+        from hepkit.rng import gaussian_array
+
+        key = hk.RngKey(5, 2)
+        idx = np.arange(20, dtype=np.uint64)
+        whole = gaussian_array(key, idx + np.uint64(k))
+        assert np.array_equal(gaussian_array(key.at(k), idx), whole)
+        assert [hk.gaussian_deviate(key.at(k + i)) for i in range(20)] == whole.tolist()
+
+    def test_wrapping_span_rejected(self):
+        from hepkit.rng import gaussian_array
+
+        with pytest.raises(ValueError, match="wraps 2\\*\\*64"):
+            gaussian_array(hk.RngKey(5, counter=1 << 63), np.zeros(1, dtype=np.uint64))
+
 
 class TestBoundedRegion:
     def test_validation(self):
@@ -127,6 +143,16 @@ class TestBoundedRegion:
             hk.BoundedRegion(((1.0, 1.0),))
         with pytest.raises(ValueError):
             hk.BoundedRegion(())
+
+    @pytest.mark.parametrize("bounds, error", [
+        (((0.0, math.inf),), "dimension 0: upper bound inf is not finite"),
+        (((0.0, 1.0), (-math.inf, 1.0)), "dimension 1: lower bound -inf is not finite"),
+        (((math.nan, 1.0),), "dimension 0: lower bound nan is not finite"),
+    ])
+    def test_non_finite_bound_named(self, bounds, error):
+        with pytest.raises(ValueError) as info:
+            hk.BoundedRegion(bounds)
+        assert str(info.value) == error
 
     def test_volume(self):
         r = hk.BoundedRegion(((0.0, 2.0), (-1.0, 1.0)))
