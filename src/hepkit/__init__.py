@@ -57,6 +57,7 @@ from .phasespace import (
     phsp_max_weight,
     phsp_schema,
     phsp_unweight,
+    phsp_write_csv,
 )
 from .fitting import (
     ExtendedModel,
@@ -89,7 +90,7 @@ __all__ = [
     "invariant_mass", "kallen", "make_pdf", "map_evaluate", "minimize",
     "nll", "numeric_errors", "phsp_average", "phsp_decay_chain",
     "phsp_generate", "phsp_max_weight", "phsp_schema", "phsp_unweight",
-    "plain_mc", "read_csv", "sample_pdf", "shape_exponential",
+    "phsp_write_csv", "plain_mc", "read_csv", "sample_pdf", "shape_exponential",
     "shape_gaussian", "splot_matrix", "splot_weights", "uniform", "vegas",
     "vegas_refine", "wrap_closure",
 ]

@@ -40,8 +40,14 @@ from .functors import (
 )
 from .integrate import gk15_static, gk_adaptive, plain_mc, vegas
 from .kinematics import KinematicsError, Parameter
-from .phasespace import DecaySpec, FourVector, phsp_generate, phsp_max_weight, phsp_unweight
-from .rng import BoundedRegion, RngKey
+from .phasespace import (
+    DecaySpec,
+    FourVector,
+    phsp_generate,    # unused here; perfbench/tracer.py rebinds cli.phsp_generate
+    phsp_unweight,    # and cli.phsp_unweight
+    phsp_write_csv,
+)
+from .rng import BoundedRegion, RngKey, poisson_gaps
 from .store import ColumnSchema, ColumnStore, read_csv, write_workers
 from .splot import splot_matrix, splot_weights
 
@@ -205,12 +211,9 @@ def cmd_phsp(args) -> int:
     spec = DecaySpec(args.mother_mass, tuple(masses))
     mother = FourVector.at_rest(args.mother_mass)
     key = RngKey(args.seed, stream=STREAM_PHASESPACE)
-    block = phsp_generate(spec, mother, args.events, key, workers=args.workers)
-    if args.unweight:
-        w_max = phsp_max_weight(spec)
-        block = phsp_unweight(block, w_max, RngKey(args.seed, stream=STREAM_UNWEIGHT),
-                              workers=args.workers)
-    _write_table(block, args)
+    unweight_key = RngKey(args.seed, stream=STREAM_UNWEIGHT) if args.unweight else None
+    phsp_write_csv(args.output or sys.stdout, spec, mother, args.events, key, unweight_key,
+                   workers=args.workers)
     return 0
 
 
@@ -286,6 +289,10 @@ def cmd_toys(args) -> int:
         scale = args.events / total
         for y in probe.yields():
             init[y.name] = y.value * scale
+    # a toy draws each count from a key at counter 0
+    for y in build_model(args.model, bounds, init, fixed).yields():
+        if poisson_gaps(y.value) > 1 << 64:
+            raise ValueError(f"{y.name}: expected yield {y.value:g} is too large to draw")
     lines = ["toy,name,value,error,status"]
     for t in range(args.n):
         model = build_model(args.model, bounds, init, fixed)
@@ -502,7 +509,10 @@ def _apply_config(args: argparse.Namespace, subparser: argparse.ArgumentParser) 
 
 
 def _resolve_seed(args: argparse.Namespace) -> None:
-    if getattr(args, "seed", None) is not None:
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        if not 0 <= seed < 1 << 64:
+            raise UsageError(f"--seed {seed} is outside [0, 2**64)")
         return
     if args.command in _RANDOMIZED or (
         args.command == "integrate" and args.method in ("plain", "vegas")
@@ -542,7 +552,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (KinematicsError, ValueError, KeyError, IndexError, OSError, RuntimeError) as exc:
-        msg = str(exc) or type(exc).__name__
+        # str() of a KeyError is the repr of its message, quotes and all
+        msg = str(exc.args[0] if isinstance(exc, KeyError) and exc.args else exc) \
+            or type(exc).__name__
         print(f"error: {msg.splitlines()[0]}", file=sys.stderr)
         return 1
 

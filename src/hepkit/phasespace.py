@@ -10,6 +10,12 @@ Weights are relative (unnormalized breakup-momentum products);
 ``phsp_average`` divides by the weight sum, so no absolute phase-space
 volume normalization is needed.  Each event derives entirely from its own
 counter block, making every generation path worker-count invariant.
+
+``phsp_generate`` builds a whole table in memory.  ``phsp_write_csv``
+streams the same events to CSV instead: events K of a key are a pure
+function of (key, K), so each range of PHSP_RANGE events is generated,
+unweighted and formatted as one task on the worker pool, and its memory
+does not grow with the event count.
 """
 
 from __future__ import annotations
@@ -30,10 +36,16 @@ from .kinematics import (
     breakup_momentum,
     invariant_mass,
 )
-from .parallel import chunk_sums, fold, run_batches
+from .parallel import CHUNK, chunk_sums, fold, resolve_workers, run_batches
 # uniform_array is unused here; perfbench/tracer.py rebinds phasespace.uniform_array
 from .rng import RngKey, check_span, event_uniforms, uniform_array
-from .store import ColumnSchema, ColumnStore
+from .store import ColumnSchema, ColumnStore, write_csv_parts
+
+PHSP_RANGE = 4 * CHUNK
+"""Events per task of ``phsp_write_csv``, on the CHUNK grid.  A constant,
+not a setting: the bytes do not depend on it.  A range of 3-body events
+is 1.7 MB of columns, so its numpy calls outweigh their dispatch, and the
+ranges in flight, one per worker, hold little memory."""
 
 
 @dataclass(frozen=True)
@@ -149,6 +161,17 @@ def _generate_rest_frame(
     return weight, comps
 
 
+def _mother_mass(spec: DecaySpec, mother: FourVector) -> float:
+    """The invariant mass of ``mother``, which must match the spec mass to
+    1e-9 relative."""
+    m_mother = invariant_mass(mother)
+    if abs(m_mother - spec.mother_mass) > MASS_TOLERANCE * spec.mother_mass:
+        raise ValueError(
+            f"mother mass {m_mother!r} does not match spec mass {spec.mother_mass!r}"
+        )
+    return m_mother
+
+
 def phsp_generate(
     spec: DecaySpec,
     mother: FourVector,
@@ -162,11 +185,7 @@ def phsp_generate(
     Per event the daughters sum to the mother four-vector and each daughter
     is on shell at its spec mass.
     """
-    m_mother = invariant_mass(mother)
-    if abs(m_mother - spec.mother_mass) > MASS_TOLERANCE * spec.mother_mass:
-        raise ValueError(
-            f"mother mass {m_mother!r} does not match spec mass {spec.mother_mass!r}"
-        )
+    m_mother = _mother_mass(spec, mother)
     weight, comps = _generate_rest_frame(spec, n_events, key, workers)
     moving = mother.px != 0.0 or mother.py != 0.0 or mother.pz != 0.0
     if moving:
@@ -193,6 +212,14 @@ def phsp_max_weight(spec: DecaySpec) -> float:
     return wt
 
 
+def _check_weights(w: np.ndarray, w_max: float, first: int) -> None:
+    """Reject a weight above ``w_max``, naming it as event first + j."""
+    over = w > w_max
+    if np.any(over):
+        j = int(np.argmax(over))
+        raise ValueError(f"event {first + j} weight {w[j]!r} exceeds w_max {w_max!r}")
+
+
 def phsp_unweight(
     block: ColumnStore,
     w_max: float,
@@ -205,10 +232,7 @@ def phsp_unweight(
     ceiling violation would bias the sample).
     """
     w = block.column("weight")
-    over = w > w_max
-    if np.any(over):
-        j = int(np.argmax(over))
-        raise ValueError(f"event {j} weight {w[j]!r} exceeds w_max {w_max!r}")
+    _check_weights(w, w_max, 0)
     n = len(block)
     check_span(key, n, 1)
     accept = np.empty(n, dtype=bool)
@@ -220,6 +244,56 @@ def phsp_unweight(
     idx = np.flatnonzero(accept)
     cols = [block.column(name).take(idx) for name in block.schema.names[1:]]
     return ColumnStore.from_columns(block.schema, [np.ones(len(idx))] + cols)
+
+
+def phsp_write_csv(
+    path_or_file,
+    spec: DecaySpec,
+    mother: FourVector,
+    n_events: int,
+    key: RngKey,
+    unweight_key: RngKey | None = None,
+    workers: int | None = 1,
+) -> None:
+    """Write the CSV of ``phsp_generate(spec, mother, n_events, key)``, or
+    with ``unweight_key`` that of ``phsp_unweight`` of it against
+    ``phsp_max_weight(spec)``, to a path or an open text file, without
+    holding the table.
+
+    Events [a, b) of each PHSP_RANGE-event range are one task on the pool:
+    ``phsp_generate`` of b - a events from event a of ``key``,
+    ``phsp_unweight`` of them from event a of ``unweight_key``, and the
+    formatting of the rows, all through ``store.write_csv_parts`` with a
+    window of ``workers``.  So the bytes are those of the in-memory path
+    for any worker count, the calls inside a task run inline on its
+    thread, and memory is that of ``workers`` ranges and their writer
+    scratch, whatever the event count.
+
+    The mother, the count and both keys' spans over all ``n_events`` are
+    checked before the destination is opened, so invalid input leaves it
+    untouched.  An error inside a range, such as a weight above the
+    maximum (named by its event index a + j), comes after the ranges
+    before it have been written.
+    """
+    _mother_mass(spec, mother)
+    check_span(key, n_events, _draws_per_event(spec.n))
+    if unweight_key is not None:
+        check_span(unweight_key, n_events, 1)
+        w_max = phsp_max_weight(spec)
+    w = resolve_workers(workers)
+
+    def part(i: int) -> tuple[np.ndarray, ...]:
+        a = i * PHSP_RANGE
+        b = min(a + PHSP_RANGE, n_events)
+        block = phsp_generate(spec, mother, b - a, key.skip(a))
+        if unweight_key is not None:
+            # checked here too, so that an error names the event, not the row
+            _check_weights(block.column("weight"), w_max, a)
+            block = phsp_unweight(block, w_max, unweight_key.skip(a))
+        return block.columns()
+
+    write_csv_parts(path_or_file, phsp_schema(spec.n), -(-n_events // PHSP_RANGE),
+                    part, w, w)
 
 
 def phsp_decay_chain(

@@ -66,6 +66,11 @@ class RngKey:
     def at(self, counter: int) -> "RngKey":
         return replace(self, counter=counter)
 
+    def skip(self, events: int) -> "RngKey":
+        """The key whose event k is this key's event ``events`` + k, so that
+        a bulk call over a range of events can start at its first one."""
+        return replace(self, counter=self.counter + events)
+
     def child(self, tag: int) -> "RngKey":
         """The key of sub-task ``tag``: same stream, counter 0, and a seed
         hashed from (seed, stream, counter, tag), injective in the tag for
@@ -159,13 +164,19 @@ def gaussian_array(key: RngKey, indices: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
 
 
-def poisson_deviate(key: RngKey, lam: float) -> int:
-    """Poisson(lam) deviate: the arrivals before time ``lam`` of a unit-rate
-    process whose gaps are exponential deviates at events 0, 1, ...; lam +
+def poisson_gaps(lam: float) -> int:
+    """The events ``poisson_deviate`` draws for mean ``lam``: lam +
     12 sqrt(lam) + 12 gaps fall short of lam with probability < 1e-30."""
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {lam!r}")
-    n = int(lam + 12.0 * math.sqrt(lam) + 12.0)
+    return int(lam + 12.0 * math.sqrt(lam) + 12.0)
+
+
+def poisson_deviate(key: RngKey, lam: float) -> int:
+    """Poisson(lam) deviate: the arrivals before time ``lam`` of a unit-rate
+    process whose gaps are exponential deviates at events 0, 1, ...,
+    ``poisson_gaps(lam)`` of them."""
+    n = poisson_gaps(lam)
     check_span(key, n, 1)
     gaps = -np.log1p(-event_uniforms(key, np.arange(n), 1)[:, 0])
     return int(np.searchsorted(np.cumsum(gaps), lam))

@@ -218,33 +218,21 @@ class ColumnStore:
         """Writes the table to a path or an open text file.  Its blocks are
         formatted on the worker count of an enclosing ``write_workers``
         block (1 outside one): each block is split into the parts of
-        ``csv_parts``, each part is formatted on a pool thread into a
-        _CsvText of its own, and the calling thread writes the texts in row
-        order.  The rows in flight are one block's worth for any worker
-        count, so memory stays that of one thread, and the bytes are the
-        same for any count: a row's text depends only on its values."""
+        ``csv_parts``, and ``write_csv_parts`` formats them on the pool and
+        writes them in row order.  The rows in flight are one block's worth
+        for any worker count, so memory stays that of one thread, and the
+        bytes are the same for any count: a row's text depends only on its
+        values."""
         columns = [self._data[name] for name in self.schema.names]
         # planned before the file is opened, so a bad count truncates nothing
         w = resolve_workers(_WRITE_WORKERS.get())
         window, parts = csv_parts(self._len, len(columns), w)
-        own = isinstance(path_or_file, (str, bytes))
-        fh = open(path_or_file, "w") if own else path_or_file
-        texts: list[_CsvText] = []
-        try:
-            fh.write(",".join(self.schema.names) + "\n")
-            # part i uses text i % window: run_ordered starts it only after
-            # part i - window, the text's last user, is done
-            texts += [_CsvText(self.schema.kinds) for _ in range(window)]
 
-            def text(i: int) -> str:
-                start, stop = parts[i]
-                return texts[i % window]([c[start:stop] for c in columns])
+        def part(i: int) -> list[np.ndarray]:
+            start, stop = parts[i]
+            return [c[start:stop] for c in columns]
 
-            run_ordered(text, len(parts), w, window, fh.write)
-        finally:
-            texts.clear()    # the scratch goes now, even if a traceback holds this frame
-            if own:
-                fh.close()
+        write_csv_parts(path_or_file, self.schema, len(parts), part, w, window)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -271,6 +259,51 @@ def write_workers(workers: int | None):
         _WRITE_WORKERS.reset(token)
 
 
+def write_csv_parts(
+    path_or_file,
+    schema: ColumnSchema,
+    n: int,
+    part: Callable[[int], Sequence[np.ndarray]],
+    workers: int,
+    window: int,
+) -> None:
+    """Writes ``schema``'s header and then the rows of ``part(i)``, its
+    columns in schema order, for i = 0 .. n-1, to a path or an open text
+    file.  This is the store's one write loop: ``write_csv`` calls it with
+    the slices of its table, and ``phasespace.phsp_write_csv`` with event
+    ranges that it generates inside ``part``.
+
+    Part i runs on a pool thread through ``run_ordered``, at most
+    ``min(window, workers)`` at a time, and is formatted there, in blocks
+    of at most CSV_BLOCK rows, by _CsvText number i % window; the calling
+    thread writes the texts in order.  The scratch of those texts is made
+    for this call and dropped when it ends, and each holds at most one
+    block's kernel arrays (179 bytes a real64 value, 19 MB for a block of
+    13 columns), so it grows with the window and not with the rows
+    written.  If a part raises, the texts of the parts before it have been
+    written, no part is left running, and the error propagates."""
+    own = isinstance(path_or_file, (str, bytes))
+    fh = open(path_or_file, "w") if own else path_or_file
+    texts: list[_CsvText] = []
+    try:
+        fh.write(",".join(schema.names) + "\n")
+        # part i uses text i % window: run_ordered starts it only after
+        # part i - window, the text's last user, is done
+        texts += [_CsvText(schema.kinds) for _ in range(window)]
+
+        def text(i: int) -> list[str]:
+            columns = part(i)
+            fmt = texts[i % window]
+            return [fmt([c[a:a + CSV_BLOCK] for c in columns])
+                    for a in range(0, len(columns[0]), CSV_BLOCK)]
+
+        run_ordered(text, n, workers, window, fh.writelines)
+    finally:
+        texts.clear()    # the scratch goes now, even if a traceback holds this frame
+        if own:
+            fh.close()
+
+
 def csv_parts(rows: int, width: int, workers: int) -> tuple[int, list[tuple[int, int]]]:
     """The writer's plan for ``rows`` rows of ``width`` columns on
     ``workers`` (>= 1) threads: the parts per block, and the [start, stop)
@@ -291,13 +324,14 @@ def csv_parts(rows: int, width: int, workers: int) -> tuple[int, list[tuple[int,
 # -- CSV text kernel ---------------------------------------------------------
 # _CsvText turns a part of a block, a run of rows, into its CSV lines with
 # numpy calls over whole columns.  One _CsvText serves one thread at a
-# time: write_csv gives each part in flight its own, and a block is split
-# only into parts of at least CSV_PART_VALUES values, at most one per
-# worker, so that the parts in flight hold one block's rows and their
-# arrays total one thread's (179 bytes a real64 value, 19 MB for a block
-# of 13 columns).  CSV_BLOCK * width // CSV_PART_VALUES is width // 4, so
-# a table of 7 columns or fewer is not split and is written on the calling
-# thread, and a block gets at most width // 4 parts for any worker count.
+# time: write_csv_parts gives each part in flight its own.  write_csv
+# splits a block only into parts of at least CSV_PART_VALUES values, at
+# most one per worker, so that its parts in flight hold one block's rows
+# and their arrays total one thread's (179 bytes a real64 value, 19 MB for
+# a block of 13 columns).  CSV_BLOCK * width // CSV_PART_VALUES is
+# width // 4, so a table of 7 columns or fewer is not split and is written
+# on the calling thread, and a block gets at most width // 4 parts for any
+# worker count.
 # Every value gets a fixed row of _SLOTS byte slots; a slot that the
 # value's text does not use holds 0.  The slots are built slot-major, one
 # 1-D call per slot across all of a kind's values, and one boolean index

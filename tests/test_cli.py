@@ -49,6 +49,27 @@ class TestExitCodes:
             f"error: {error}"
         ]
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["phsp", "--mother-mass", "1.0", "--masses", "0.1,0.1", "--events", "10"],
+        ["toys", "--n", "1", "--model", "gauss", "--range", "0,10",
+         "--init", "mean=5.0,sigma=1.0,n_gauss=100"],
+        ["integrate", "--method", "plain", "--calls", "1000"],
+    ])
+    def test_seed_outside_u64_rejected_in_one_line(self, capsys, command, seed):
+        # it wrapped: 2**64 wrote the bytes of seed 0, and -1 those of 2**64 - 1
+        assert run_cli(*command, "--seed", seed) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"usage error: --seed {seed} is outside [0, 2**64)"
+        ]
+
+    def test_largest_seed_accepted(self, capsys):
+        assert run_cli("phsp", "--mother-mass", "1.0", "--masses", "0.1,0.1",
+                       "--events", "3", "--seed", str(2**64 - 1)) == 0
+        assert capsys.readouterr().out.count("\n") == 4
+
     def test_success(self, tmp_path):
         out = tmp_path / "ev.csv"
         code = run_cli("phsp", "--mother-mass", "1.0", "--masses", "0.1,0.1,0.1",
@@ -231,6 +252,22 @@ class TestToysCommand:
             f"usage error: --events must be finite and > 0, got {float(events)}"
         ]
 
+    def test_undrawable_yield_rejected_by_name_before_any_toy(self, capsys, monkeypatch):
+        # it ended in a counter-wrap message with a 300-digit event count
+        import hepkit.cli as cli
+
+        drawn = []
+        monkeypatch.setattr(cli, "generate_model_sample", lambda *a, **k: drawn.append(a))
+        assert run_cli("toys", "--n", "3", "--events", "1e300", "--model", "gauss+exp",
+                       "--range", "0,10",
+                       "--init", "mean=5.0,sigma=0.5,tau=3.0,n_gauss=400,n_exp=600",
+                       "--seed", "5") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and drawn == []
+        assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [
+            "error: n_gauss: expected yield 4e+299 is too large to draw"
+        ]
+
 
 class TestSplotCommand:
     def test_splot_pipeline(self, tmp_path):
@@ -249,6 +286,21 @@ class TestSplotCommand:
         assert len(table) == n
         sums = np.asarray(table.column("sw_n_gauss")) + np.asarray(table.column("sw_n_exp"))
         assert np.max(np.abs(sums - 1.0)) < 1e-9
+
+    def test_unknown_column_named_in_one_line(self, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        fit_csv = tmp_path / "fit.csv"
+        _write_toy_sample(data_csv, seed=93, scale=0.01)
+        fit_csv.write_text("name,value,error,status\nmean,5,,converged\nsigma,0.5,,converged\n"
+                           "tau,3,,converged\nn_gauss,40,,converged\nn_exp,60,,converged\n")
+        assert run_cli("splot", "--input", str(data_csv), "--model", "gauss+exp",
+                       "--range", "0,10", "--fit-result", str(fit_csv), "--column", "nope",
+                       "--seed", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [
+            "error: unknown column 'nope'"
+        ]
 
 
 class TestHist:
@@ -328,6 +380,10 @@ class TestHist:
         code = run_cli("hist", "--input", str(csv), "--column", "nope",
                        "--bins", "1", "--lo", "0", "--hi", "1")
         assert code == 1
+        # the message itself, without the quotes of a KeyError's str()
+        assert [l for l in capsys.readouterr().err.splitlines() if not l.startswith("# ")] == [
+            "error: unknown column 'nope'"
+        ]
 
     @pytest.mark.parametrize("lo, hi, error", [
         ("0", "inf", "usage error: --hi inf is not finite"),

@@ -1,11 +1,7 @@
 """The one reduction primitive: per-chunk sums and their ordered fold."""
 
-import os
 import pathlib
 import re
-import subprocess
-import sys
-import textwrap
 import threading
 
 import numpy as np
@@ -13,6 +9,7 @@ import pytest
 
 import hepkit as hk
 from hepkit.parallel import CHUNK, EVAL_BATCH, chunk_sums, fold, workspace
+from isolated import in_subprocess as _in_subprocess
 from toymodel import build_model
 
 
@@ -76,17 +73,9 @@ def test_workspace_is_per_thread_and_grows_on_demand():
 
 
 # -- the one pool -------------------------------------------------------
-# Each check below runs in a fresh interpreter: a hang then fails at the
-# timeout instead of stalling the run, and the pool starts out empty.
-
-
-def _in_subprocess(code: str, timeout: float = 120.0) -> str:
-    paths = [str(pathlib.Path(hk.__file__).parent.parent), str(pathlib.Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                          capture_output=True, text=True, timeout=timeout)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+# Each check below runs in a fresh interpreter (isolated.in_subprocess): a
+# hang then fails at the timeout instead of stalling the run, and the pool
+# starts out empty.
 
 
 def test_parallel_calls_nested_in_ordered_tasks_finish_with_1_worker_bytes():

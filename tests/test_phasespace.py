@@ -1,10 +1,15 @@
+import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hepkit as hk
 from hepkit.kinematics import BelowThreshold
+from hepkit.phasespace import PHSP_RANGE
+from isolated import in_subprocess
 
 
 def _daughter(block, k):
@@ -250,3 +255,160 @@ class TestAverage:
         a = hk.phsp_average(f, block, self._m12sq_builder, workers=1)
         b = hk.phsp_average(f, block, self._m12sq_builder, workers=8)
         assert a.value == b.value and a.error == b.error
+
+
+# -- the streamed writer ---------------------------------------------------------
+
+
+def test_streamed_bytes_are_the_in_memory_paths_at_1_2_and_8_workers():
+    # hepkit phsp, to a file and to stdout, against phsp_generate ->
+    # phsp_unweight -> write_csv; every call makes one _CsvText per worker
+    # and none outlives it
+    out = in_subprocess("""
+        import contextlib, io, os, tempfile, weakref
+        import hepkit as hk
+        import hepkit.store as store
+        from hepkit.cli import STREAM_PHASESPACE, STREAM_UNWEIGHT, main
+
+        made = []
+        init = store._CsvText.__init__
+
+        def tracked(self, kinds):
+            init(self, kinds)
+            made.append(weakref.ref(self))
+
+        store._CsvText.__init__ = tracked
+        spec = hk.DecaySpec(1.0, (0.1, 0.1, 0.1))
+        path = os.path.join(tempfile.mkdtemp(), "ev.csv")
+        for n in (0, 1, 16383, 16384, 16385, 70001):
+            for unweight in ([], ["--unweight"]):
+                table = hk.phsp_generate(spec, hk.FourVector.at_rest(1.0), n,
+                                         hk.RngKey(21, STREAM_PHASESPACE))
+                if unweight:
+                    table = hk.phsp_unweight(table, hk.phsp_max_weight(spec),
+                                             hk.RngKey(21, STREAM_UNWEIGHT))
+                want = table.to_csv()
+                args = ["phsp", "--mother-mass", "1.0", "--masses", "0.1,0.1,0.1",
+                        "--events", str(n), "--seed", "21", *unweight]
+                for w in (1, 2, 8):
+                    made.clear()
+                    stdout = io.StringIO()
+                    with contextlib.redirect_stdout(stdout), \\
+                            contextlib.redirect_stderr(io.StringIO()):
+                        assert main([*args, "--workers", str(w), "--output", path]) == 0
+                        assert main([*args, "--workers", str(w)]) == 0
+                    with open(path) as fh:
+                        written = fh.read()
+                    ok = (written == want and stdout.getvalue() == want
+                          and len(made) == 2 * w and all(r() is None for r in made))
+                    print(n, bool(unweight), w, ok)
+    """)
+    lines = out.splitlines()
+    assert len(lines) == 36 and all(line.endswith(" True") for line in lines), out
+
+
+def _streamed_cli(*extra):
+    return ["phsp", "--mother-mass", "1.0", "--masses", "0.1,0.1,0.1", "--seed", "1",
+            *extra]
+
+
+@pytest.mark.parametrize("args, code, error", [
+    (["phsp", "--mother-mass", "inf", "--masses", "0.5,1.0", "--events", "3",
+      "--seed", "1"], 1, "error: mother mass inf is not finite"),
+    (["phsp", "--mother-mass", "5.0", "--masses", "nan,1.0", "--events", "3",
+      "--seed", "1"], 1, "error: daughter 1 mass nan is not finite"),
+    (["phsp", "--mother-mass", "1.0", "--masses", "0.6,0.6", "--events", "3",
+      "--seed", "1"], 1, "error: mother mass 1.0 is not above the daughter mass sum 1.2"),
+    (_streamed_cli("--events", "-3", "--unweight"), 1, "error: event count -3 is negative"),
+    (_streamed_cli("--events", "4000000000000000000", "--unweight"), 1,
+     "error: counter 0 + 4000000000000000000 events x 5 draws wraps 2**64"),
+    (["phsp", "--mother-mass", "1.0", "--masses", "0.1,0.1", "--events",
+      "10000000000000000000", "--seed", "1"], 1,
+     "error: counter 0 + 10000000000000000000 events x 2 draws wraps 2**64"),
+    (_streamed_cli("--events", "100", "--workers", "-1"), 1,
+     "error: workers must be >= 0, got -1"),
+    (_streamed_cli("--events", "100", "--seed", "-1"), 2,
+     "usage error: --seed -1 is outside [0, 2**64)"),
+])
+def test_invalid_input_leaves_the_output_untouched(tmp_path, capsys, monkeypatch, args,
+                                                 code, error):
+    import hepkit.phasespace as phasespace
+    from hepkit.cli import main
+
+    def no_range(*args):
+        raise AssertionError("a range was generated")
+
+    # without the checks up front, 4e18 events would stream until the disk is full
+    monkeypatch.setattr(phasespace, "phsp_generate", no_range)
+    out = tmp_path / "ev.csv"
+    out.write_bytes(b"kept\n")
+    assert main([*args, "--output", str(out)]) == code
+    captured = capsys.readouterr()
+    assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [error]
+    assert captured.out == "" and out.read_bytes() == b"kept\n"
+
+
+def test_w_max_error_names_the_event_across_ranges(monkeypatch):
+    import hepkit.phasespace as phasespace
+
+    spec = hk.DecaySpec(1.0, (0.1, 0.1, 0.1))
+    mother = hk.FourVector.at_rest(1.0)
+    n = 4 * PHSP_RANGE
+    key, unweight_key = hk.RngKey(25, 1), hk.RngKey(25, 4)
+    table = hk.phsp_generate(spec, mother, n, key)
+    w = table.column("weight")
+    w_max = float(w[: PHSP_RANGE + 50].max())
+    j = int(np.argmax(w > w_max))
+    assert j > PHSP_RANGE + 50    # the first weight above w_max is in a later range
+    with pytest.raises(ValueError) as in_memory:
+        hk.phsp_unweight(table, w_max, unweight_key)
+    monkeypatch.setattr(phasespace, "phsp_max_weight", lambda spec: w_max)
+    with pytest.raises(ValueError) as streamed:
+        hk.phsp_write_csv(io.StringIO(), spec, mother, n, key, unweight_key)
+    assert str(streamed.value) == str(in_memory.value) == \
+        f"event {j} weight {w[j]!r} exceeds w_max {w_max!r}"
+
+
+def test_huge_event_count_is_validated_without_a_run(monkeypatch):
+    # 3e18 three-body events fit the counter span; the stream accepts them
+    # and then stops at a destination that refuses the header, having
+    # generated nothing (the in-memory path fails to allocate them)
+    import hepkit.phasespace as phasespace
+
+    class Refused(Exception):
+        pass
+
+    class Refusing(io.StringIO):
+        def write(self, text):
+            raise Refused
+
+    generated = []
+    monkeypatch.setattr(phasespace, "phsp_generate", lambda *a: generated.append(a))
+    spec = hk.DecaySpec(1.0, (0.1, 0.1, 0.1))
+    with pytest.raises(Refused):
+        hk.phsp_write_csv(Refusing(), spec, hk.FourVector.at_rest(1.0), 3 * 10**18,
+                          hk.RngKey(1, 1), hk.RngKey(1, 4), workers=8)
+    assert generated == []
+
+
+def test_warm_streamed_write_peaks_the_same_at_4e5_events_as_at_1e5():
+    # one range and its writer scratch at a time, at one worker: the traced
+    # peak (about 18.5 MiB) does not grow with the event count; the
+    # in-memory path holds 104 bytes a generated event for the table alone
+    spec = hk.DecaySpec(1.0, (0.1, 0.1, 0.1))
+    mother = hk.FourVector.at_rest(1.0)
+
+    def stream(n):
+        hk.phsp_write_csv(os.devnull, spec, mother, n, hk.RngKey(26, 1), hk.RngKey(26, 4))
+
+    stream(100_000)
+    peaks = {}
+    for n in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            stream(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400_000] <= peaks[100_000] + 2 * 2**20, \
+        {n: f"{p / 2**20:.2f} MiB" for n, p in peaks.items()}

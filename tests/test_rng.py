@@ -288,6 +288,14 @@ def test_event_uniforms_addresses_event_blocks():
                           rng.event_uniforms(key.at(0), events + 7, 6))
 
 
+def test_skipped_key_starts_at_a_later_event():
+    key = hk.RngKey(4, 2, counter=7)
+    events = np.array([0, 3, 11])
+    assert key.skip(5) == hk.RngKey(4, 2, counter=12)
+    assert np.array_equal(rng.event_uniforms(key.skip(5), events, 6),
+                          rng.event_uniforms(key, events + 5, 6))
+
+
 K, N = 64_000, 3_000    # the shifted calls cross the 65 536-event batch boundary
 
 
