@@ -40,6 +40,7 @@ from .functors import (
 )
 from .integrate import gk15_static, gk_adaptive, plain_mc, vegas
 from .kinematics import KinematicsError, Parameter
+from .parallel import resolve_workers
 from .phasespace import (
     DecaySpec,
     FourVector,
@@ -48,7 +49,7 @@ from .phasespace import (
     phsp_write_csv,
 )
 from .rng import BoundedRegion, RngKey, poisson_gaps
-from .store import ColumnSchema, ColumnStore, read_csv, write_workers
+from .store import ColumnSchema, ColumnStore, read_csv
 from .splot import splot_matrix, splot_weights
 
 STREAM_SAMPLING = 0
@@ -200,12 +201,6 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_table(table: ColumnStore, args) -> None:
-    """The table as CSV to --output or stdout, formatted on --workers."""
-    with write_workers(args.workers):
-        table.write_csv(args.output or sys.stdout)
-
-
 def cmd_phsp(args) -> int:
     masses = _parse_floats(args.masses)
     spec = DecaySpec(args.mother_mass, tuple(masses))
@@ -344,7 +339,7 @@ def cmd_splot(args) -> int:
     model = build_model(args.model, bounds, fitted, set())
     V = splot_matrix(model, store, [args.column], workers=args.workers)
     table = splot_weights(model, store, [args.column], V, workers=args.workers)
-    _write_table(table, args)
+    table.write_csv(args.output or sys.stdout)
     return 0
 
 
@@ -376,7 +371,7 @@ def cmd_hist(args) -> int:
     centers = 0.5 * (edges[:-1] + edges[1:])
     table = ColumnStore.from_columns(ColumnSchema.real64("bin_center", "count", "error"),
                                      [centers, counts, errors])
-    _write_table(table, args)
+    table.write_csv(args.output or sys.stdout)
     return 0
 
 
@@ -547,6 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(args, registry[args.command])
         _resolve_seed(args)
         _print_resolved(args)
+        resolve_workers(args.workers)    # one check for every subcommand
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

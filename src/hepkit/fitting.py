@@ -426,7 +426,8 @@ def check_density(dens: np.ndarray, offset: int) -> None:
     bad = ~(dens > 0) | ~np.isfinite(dens)
     if np.any(bad):
         j = int(np.argmax(bad))
-        raise ValueError(f"model density {dens[j]!r} is not positive at event {offset + j}")
+        raise ValueError(
+            f"model density {float(dens[j])!r} is not positive at event {offset + j}")
 
 
 def add_pdfs(yields: Sequence[Parameter], pdfs: Sequence[Pdf]) -> ExtendedModel:

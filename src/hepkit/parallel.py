@@ -15,17 +15,18 @@ into its thread's ``workspace``, so repeated calls reuse that memory
 instead of allocating (and page-faulting) it afresh.
 
 Both ``run_batches`` and a stream whose results must be consumed in order
-as they come, the CSV writer's text parts, run through ``run_ordered``: a
-bounded window of calls at a time, each result consumed on the calling
-thread in index order.  There is one pool for the process.  It grows to
-the largest worker count any call has asked for, and a call never has
-more than its own worker count of tasks in flight, so a 2-worker call
-keeps to 2 threads of a pool grown to 8.  A parallel call made on a pool
-thread, such as a fit inside a task, runs serially on that thread: it
-cannot wait for threads that are busy with its caller, and its results
-are the same for any worker count.  Such a call runs its batches on its
-caller's thread, through that thread's ``workspace``, so a batch must not
-hold a workspace across a nested call.
+as they come, ``phsp``'s event ranges on their way to the CSV writer, run
+through ``run_ordered``: at most a worker count of calls at a time, each
+result consumed on the calling thread in index order.  There is one pool
+for the process.  It grows to the largest worker count any call has asked
+for, and a call never has more than its own worker count of tasks in
+flight, so a 2-worker call keeps to 2 threads of a pool grown to 8.  A
+parallel call made on a pool thread, such as a fit inside a task, runs
+serially on that thread: it cannot wait for threads that are busy with
+its caller, and its results are the same for any worker count.  Such a
+call runs its batches on its caller's thread, through that thread's
+``workspace``, so a batch must not hold a workspace across a nested
+call.
 """
 
 from __future__ import annotations
@@ -104,8 +105,7 @@ def run_batches(
     """
     ranges = batch_ranges(n, batch)
     out: list[T] = []
-    w = resolve_workers(workers)
-    run_ordered(lambda i: fn(*ranges[i]), len(ranges), w, w, out.append)
+    run_ordered(lambda i: fn(*ranges[i]), len(ranges), workers, out.append)
     return out
 
 
@@ -113,29 +113,27 @@ def run_ordered(
     fn: Callable[[int], T],
     n: int,
     workers: int | None,
-    window: int,
     consume: Callable[[T], object],
 ) -> None:
     """``consume(fn(i))`` for i = 0 .. n-1, in that order.  ``fn`` runs on
-    the pool, at most ``min(window, workers)`` calls at a time, and
-    ``consume`` on the calling thread; call i + window is submitted only
-    once result i is taken, so a caller can hand call i's resources on to
-    it.  With one worker, a window of one or a single call, or on a pool
-    thread, everything runs on the calling thread.
+    the pool, at most ``workers`` calls at a time, and ``consume`` on the
+    calling thread; with w workers, call i + w is submitted only once
+    result i is taken, so a caller can hand call i's resources on to it.
+    With one worker, a single call, or on a pool thread, everything runs
+    on the calling thread.
 
     If ``fn`` or ``consume`` raises, the calls in flight are waited for
     before the error propagates: none of them outlives this call.
     """
     w = resolve_workers(workers)
-    window = min(window, w)
-    if window <= 1 or n <= 1 or getattr(_thread, "in_pool", False):
+    if w <= 1 or n <= 1 or getattr(_thread, "in_pool", False):
         for i in range(n):
             consume(fn(i))
         return
     pending: collections.deque = collections.deque()
     try:
         for i in range(n):
-            if len(pending) == window:
+            if len(pending) == w:
                 done = pending.popleft().result()
                 pending.append(_submit(w, fn, i))
                 consume(done)

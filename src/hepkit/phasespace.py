@@ -36,7 +36,7 @@ from .kinematics import (
     breakup_momentum,
     invariant_mass,
 )
-from .parallel import CHUNK, chunk_sums, fold, resolve_workers, run_batches
+from .parallel import CHUNK, chunk_sums, fold, run_batches
 # uniform_array is unused here; perfbench/tracer.py rebinds phasespace.uniform_array
 from .rng import RngKey, check_span, event_uniforms, uniform_array
 from .store import ColumnSchema, ColumnStore, write_csv_parts
@@ -217,7 +217,8 @@ def _check_weights(w: np.ndarray, w_max: float, first: int) -> None:
     over = w > w_max
     if np.any(over):
         j = int(np.argmax(over))
-        raise ValueError(f"event {first + j} weight {w[j]!r} exceeds w_max {w_max!r}")
+        raise ValueError(
+            f"event {first + j} weight {float(w[j])!r} exceeds w_max {float(w_max)!r}")
 
 
 def phsp_unweight(
@@ -263,24 +264,23 @@ def phsp_write_csv(
     Events [a, b) of each PHSP_RANGE-event range are one task on the pool:
     ``phsp_generate`` of b - a events from event a of ``key``,
     ``phsp_unweight`` of them from event a of ``unweight_key``, and the
-    formatting of the rows, all through ``store.write_csv_parts`` with a
-    window of ``workers``.  So the bytes are those of the in-memory path
+    formatting of the rows, all through ``store.write_csv_parts`` on
+    ``workers`` threads.  So the bytes are those of the in-memory path
     for any worker count, the calls inside a task run inline on its
     thread, and memory is that of ``workers`` ranges and their writer
     scratch, whatever the event count.
 
-    The mother, the count and both keys' spans over all ``n_events`` are
-    checked before the destination is opened, so invalid input leaves it
-    untouched.  An error inside a range, such as a weight above the
-    maximum (named by its event index a + j), comes after the ranges
-    before it have been written.
+    The mother, the count, both keys' spans over all ``n_events`` and the
+    worker count are checked before the destination is opened, so invalid
+    input leaves it untouched.  An error inside a range, such as a weight
+    above the maximum (named by its event index a + j), comes after the
+    ranges before it have been written.
     """
     _mother_mass(spec, mother)
     check_span(key, n_events, _draws_per_event(spec.n))
     if unweight_key is not None:
         check_span(unweight_key, n_events, 1)
         w_max = phsp_max_weight(spec)
-    w = resolve_workers(workers)
 
     def part(i: int) -> tuple[np.ndarray, ...]:
         a = i * PHSP_RANGE
@@ -293,7 +293,7 @@ def phsp_write_csv(
         return block.columns()
 
     write_csv_parts(path_or_file, phsp_schema(spec.n), -(-n_events // PHSP_RANGE),
-                    part, w, w)
+                    part, workers)
 
 
 def phsp_decay_chain(
@@ -325,8 +325,8 @@ def phsp_decay_chain(
     if np.any(bad):
         j = int(np.argmax(bad))
         raise ValueError(
-            f"event {j}: daughter {k} mass {fm[j]!r} does not match "
-            f"sub-decay mother mass {subspec.mother_mass!r}"
+            f"event {j}: daughter {k} mass {float(fm[j])!r} does not match "
+            f"sub-decay mother mass {float(subspec.mother_mass)!r}"
         )
 
     sub_w, sub = _generate_rest_frame(subspec, len(block), key, workers)

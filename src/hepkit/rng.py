@@ -280,8 +280,8 @@ def sample_pdf(
             if np.any(over):
                 j = int(np.argmax(over))
                 raise CeilingError(
-                    f"density {vals[j]!r} exceeds ceiling {ceiling!r} "
-                    f"at point {tuple(pts[j])}"
+                    f"density {float(vals[j])!r} exceeds ceiling {float(ceiling)!r} "
+                    f"at point {tuple(map(float, pts[j]))}"
                 )
             accept = u[:, d] * ceiling < vals
             if np.any(accept):

@@ -7,8 +7,6 @@ concurrently.  There is no limit on the number of columns.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import io
 from dataclasses import dataclass
@@ -26,10 +24,6 @@ _KIND_DTYPES = {
 
 # Rows per block of the CSV writer.
 CSV_BLOCK = 8192
-# Values that a part of a block holds at least, when the writer splits a
-# block across workers: below about this many, a part's numpy calls gain
-# little from a second thread.
-CSV_PART_VALUES = 2 ** 15
 
 _BOOLEAN_TOKENS = {"true": True, "false": False}
 _EXPECTED = {
@@ -202,12 +196,12 @@ class ColumnStore:
     # -- CSV interchange ---------------------------------------------------
     # header = column names; real64 with 17 significant digits so values
     # round-trip exactly; no quoting (names are [A-Za-z0-9_] by schema).
-    # The writer works a block of CSV_BLOCK (8192) rows at a time, split
-    # into parts across workers by csv_parts; its text is byte for byte
-    # Python's '%.17g' (real64), '%d' (integer64) and true/false (boolean),
-    # and the kernel that makes it is described above _CsvText.  The
-    # reader holds one block of text, about _READ_CHARS characters of whole
-    # lines, at a time; its kernel is described above _CsvRead.
+    # The writer works a block of CSV_BLOCK (8192) rows at a time; its text
+    # is byte for byte Python's '%.17g' (real64), '%d' (integer64) and
+    # true/false (boolean), and the kernel that makes it is described above
+    # _CsvText.  The reader holds one block of text, about _READ_CHARS
+    # characters of whole lines, at a time; its kernel is described above
+    # _CsvRead.
     # Tokens read: real64 takes what python's float() takes if the value is
     # finite, integer64 what int() takes within 64 bits, boolean true/false
     # in any case.  Whitespace around a line or a token is ignored and blank
@@ -215,24 +209,14 @@ class ColumnStore:
     # ValueError naming the line and the column.
 
     def write_csv(self, path_or_file) -> None:
-        """Writes the table to a path or an open text file.  Its blocks are
-        formatted on the worker count of an enclosing ``write_workers``
-        block (1 outside one): each block is split into the parts of
-        ``csv_parts``, and ``write_csv_parts`` formats them on the pool and
-        writes them in row order.  The rows in flight are one block's worth
-        for any worker count, so memory stays that of one thread, and the
-        bytes are the same for any count: a row's text depends only on its
-        values."""
-        columns = [self._data[name] for name in self.schema.names]
-        # planned before the file is opened, so a bad count truncates nothing
-        w = resolve_workers(_WRITE_WORKERS.get())
-        window, parts = csv_parts(self._len, len(columns), w)
+        """Writes the table to a path or an open text file, a block of
+        CSV_BLOCK rows at a time, on the calling thread."""
+        columns = self.columns()
 
         def part(i: int) -> list[np.ndarray]:
-            start, stop = parts[i]
-            return [c[start:stop] for c in columns]
+            return [c[i * CSV_BLOCK:(i + 1) * CSV_BLOCK] for c in columns]
 
-        write_csv_parts(path_or_file, self.schema, len(parts), part, w, window)
+        write_csv_parts(path_or_file, self.schema, -(-self._len // CSV_BLOCK), part, 1)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -240,98 +224,57 @@ class ColumnStore:
         return buf.getvalue()
 
 
-# The worker count of write_csv.
-_WRITE_WORKERS: contextvars.ContextVar[int | None] = contextvars.ContextVar(
-    "write_workers", default=1)
-
-
-@contextlib.contextmanager
-def write_workers(workers: int | None):
-    """Within the block, ``ColumnStore.write_csv`` formats on ``workers``
-    threads (0 or None = every core).  The writer takes its count this way
-    rather than as an argument, so that a wrapper of write_csv that passes
-    on only the destination, as perfbench's tracer does, still writes on
-    every worker."""
-    token = _WRITE_WORKERS.set(workers)
-    try:
-        yield
-    finally:
-        _WRITE_WORKERS.reset(token)
-
-
 def write_csv_parts(
     path_or_file,
     schema: ColumnSchema,
     n: int,
     part: Callable[[int], Sequence[np.ndarray]],
-    workers: int,
-    window: int,
+    workers: int | None,
 ) -> None:
     """Writes ``schema``'s header and then the rows of ``part(i)``, its
     columns in schema order, for i = 0 .. n-1, to a path or an open text
     file.  This is the store's one write loop: ``write_csv`` calls it with
-    the slices of its table, and ``phasespace.phsp_write_csv`` with event
-    ranges that it generates inside ``part``.
+    its table's blocks at one worker, and ``phasespace.phsp_write_csv``
+    with event ranges that it generates inside ``part``.
 
-    Part i runs on a pool thread through ``run_ordered``, at most
-    ``min(window, workers)`` at a time, and is formatted there, in blocks
-    of at most CSV_BLOCK rows, by _CsvText number i % window; the calling
-    thread writes the texts in order.  The scratch of those texts is made
-    for this call and dropped when it ends, and each holds at most one
-    block's kernel arrays (179 bytes a real64 value, 19 MB for a block of
-    13 columns), so it grows with the window and not with the rows
-    written.  If a part raises, the texts of the parts before it have been
-    written, no part is left running, and the error propagates."""
+    Part i runs through ``run_ordered`` on ``workers`` threads (0 or None =
+    every core), and is formatted there, in blocks of at most CSV_BLOCK
+    rows, by _CsvText number i % workers; the calling thread writes the
+    texts in order.  The scratch of those texts is made for this call and
+    dropped when it ends, and each holds at most one block's kernel arrays
+    (179 bytes a real64 value, 19 MB for a block of 13 columns), so it
+    grows with the worker count and not with the rows written.  The count
+    is checked before the destination is opened.  If a part raises, the
+    texts of the parts before it have been written, no part is left
+    running, and the error propagates."""
+    w = resolve_workers(workers)
     own = isinstance(path_or_file, (str, bytes))
     fh = open(path_or_file, "w") if own else path_or_file
     texts: list[_CsvText] = []
     try:
         fh.write(",".join(schema.names) + "\n")
-        # part i uses text i % window: run_ordered starts it only after
-        # part i - window, the text's last user, is done
-        texts += [_CsvText(schema.kinds) for _ in range(window)]
+        # part i uses text i % w: run_ordered starts it only after part
+        # i - w, the text's last user, is done
+        texts += [_CsvText(schema.kinds) for _ in range(w)]
 
         def text(i: int) -> list[str]:
             columns = part(i)
-            fmt = texts[i % window]
+            fmt = texts[i % w]
             return [fmt([c[a:a + CSV_BLOCK] for c in columns])
                     for a in range(0, len(columns[0]), CSV_BLOCK)]
 
-        run_ordered(text, n, workers, window, fh.writelines)
+        run_ordered(text, n, w, fh.writelines)
     finally:
         texts.clear()    # the scratch goes now, even if a traceback holds this frame
         if own:
             fh.close()
 
 
-def csv_parts(rows: int, width: int, workers: int) -> tuple[int, list[tuple[int, int]]]:
-    """The writer's plan for ``rows`` rows of ``width`` columns on
-    ``workers`` (>= 1) threads: the parts per block, and the [start, stop)
-    rows of every part, in order.  A block of CSV_BLOCK rows is split into
-    parts = clamp(CSV_BLOCK * width // CSV_PART_VALUES, 1, workers) parts
-    of nearly equal size, and a short last block into at most as many as
-    it has rows; so every part holds at least one row, and the rows of one
-    block's parts, those in flight at a time, total CSV_BLOCK at most."""
-    per_block = max(1, min(CSV_BLOCK * width // CSV_PART_VALUES, workers, CSV_BLOCK))
-    parts = []
-    for start in range(0, rows, CSV_BLOCK):
-        size = min(CSV_BLOCK, rows - start)
-        k = min(per_block, size)
-        parts += [(start + size * j // k, start + size * (j + 1) // k) for j in range(k)]
-    return per_block, parts
-
-
 # -- CSV text kernel ---------------------------------------------------------
-# _CsvText turns a part of a block, a run of rows, into its CSV lines with
+# _CsvText turns a block of at most CSV_BLOCK rows into its CSV lines with
 # numpy calls over whole columns.  One _CsvText serves one thread at a
-# time: write_csv_parts gives each part in flight its own.  write_csv
-# splits a block only into parts of at least CSV_PART_VALUES values, at
-# most one per worker, so that its parts in flight hold one block's rows
-# and their arrays total one thread's (179 bytes a real64 value, 19 MB for
-# a block of 13 columns).  CSV_BLOCK * width // CSV_PART_VALUES is
-# width // 4, so a table of 7 columns or fewer is not split and is written
-# on the calling thread, and a block gets at most width // 4 parts for any
-# worker count.
+# time: write_csv_parts gives each part in flight its own, and a part's
+# blocks share it one after another.
 # Every value gets a fixed row of _SLOTS byte slots; a slot that the
 # value's text does not use holds 0.  The slots are built slot-major, one
 # 1-D call per slot across all of a kind's values, and one boolean index

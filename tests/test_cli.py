@@ -171,6 +171,40 @@ def _write_toy_sample(path, seed=90, scale=0.04):
     return len(data)
 
 
+_MODEL = ("--model", "gauss+exp", "--range", "0,10")
+
+
+@pytest.mark.parametrize("command, args", [
+    ("phsp", ("--mother-mass", "1.0", "--masses", "0.1,0.1", "--events", "10")),
+    ("integrate", ("--method", "gk", "--function", "power", "--params", "k=2",
+                   "--range", "0,1")),
+    ("fit", ("--input", "{data}", *_MODEL)),
+    ("toys", ("--n", "1", *_MODEL, "--init",
+              "mean=5.0,sigma=0.5,tau=3.0,n_gauss=40,n_exp=60")),
+    ("splot", ("--input", "{data}", *_MODEL, "--fit-result", "{fit}")),
+    ("hist", ("--input", "{data}", "--column", "x0", "--bins", "4", "--lo", "0",
+              "--hi", "10")),
+])
+def test_every_command_rejects_a_negative_worker_count(tmp_path, capsys, command, args):
+    # valid input otherwise, so that only the worker count can fail the call
+    data, fit = tmp_path / "data.csv", tmp_path / "fit.csv"
+    _write_toy_sample(data, seed=95, scale=0.1)
+    assert run_cli("fit", "--input", str(data), *_MODEL, "--init",
+                   "mean=4.9,sigma=0.55,tau=2.9", "--seed", "1", "--output", str(fit)) == 0
+    args = [a.format(data=data, fit=fit) for a in args]
+    out = tmp_path / "out.csv"
+    assert run_cli(command, *args, "--seed", "1", "--workers", "-1",
+                   "--output", str(out)) == 1
+    captured = capsys.readouterr()
+    assert [l for l in captured.err.splitlines() if not l.startswith("# ")] == [
+        "error: workers must be >= 0, got -1"
+    ]
+    assert captured.out == "" and not out.exists()
+    assert run_cli(command, *args, "--seed", "1", "--workers", "1",
+                   "--output", str(out)) == 0
+    assert out.exists()
+
+
 class TestFitCommand:
     def test_fit_recovers_parameters(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
@@ -475,7 +509,7 @@ class TestWorkerByteIdentity:
         return out
 
     def test_unweighted_phsp_over_many_blocks_identical(self, tmp_path):
-        # 13 columns: the writer formats its blocks on the worker pool
+        # 13 columns: phsp generates and formats its ranges on the worker pool
         w1, w2, w8 = self._outputs(tmp_path, "phsp", "--mother-mass", "1.0", "--masses",
                                    "0.1,0.1,0.1", "--events", "100000", "--unweight",
                                    "--seed", "12")

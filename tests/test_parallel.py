@@ -103,7 +103,7 @@ def test_parallel_calls_nested_in_ordered_tasks_finish_with_1_worker_bytes():
 
         for w in (1, 2, 8):
             digest = hashlib.sha256()
-            run_ordered(lambda i: task(w, i), 4, w, w, digest.update)
+            run_ordered(lambda i: task(w, i), 4, w, digest.update)
             print(digest.hexdigest())
     """)
     digests = out.split()
@@ -113,15 +113,15 @@ def test_parallel_calls_nested_in_ordered_tasks_finish_with_1_worker_bytes():
 def test_threads_after_a_worker_count_sweep_stay_within_the_largest_count():
     out = _in_subprocess("""
         import io, threading, time
-        import numpy as np
         import hepkit as hk
         from hepkit.parallel import run_batches
+        from hepkit.phasespace import PHSP_RANGE
 
-        table = hk.ColumnStore.from_columns(
-            hk.ColumnSchema.real64(*(f"c{k}" for k in range(13))), [np.arange(20000.0)] * 13)
+        spec = hk.DecaySpec(1.0, (0.1, 0.1, 0.1))
+        mother = hk.FourVector.at_rest(1.0)
         for w in range(1, 7):
-            with hk.store.write_workers(w):
-                table.write_csv(io.StringIO())
+            hk.phsp_write_csv(io.StringIO(), spec, mother, 6 * PHSP_RANGE, hk.RngKey(3, 1),
+                              workers=w)
             run_batches(lambda a, b: b - a, 12 * 4096, w, batch=4096)
         # a replaced pool's threads exit once they see its shutdown
         deadline = time.monotonic() + 10.0
@@ -173,7 +173,7 @@ def test_the_pool_grows_from_another_thread_while_a_call_submits():
 
         def call():
             try:
-                parallel.run_ordered(task, 12, 2, 2, results.append)
+                parallel.run_ordered(task, 12, 2, results.append)
             except BaseException as exc:
                 errors.append(exc)
 

@@ -178,8 +178,9 @@ class TestSamplePdf:
     def test_ceiling_violation_reported(self):
         g = hk.shape_gaussian(hk.Parameter("mean", 0.0), hk.Parameter("sigma", 1.0))
         region = hk.BoundedRegion(((-6.0, 6.0),))
-        with pytest.raises(CeilingError, match="exceeds ceiling"):
+        with pytest.raises(CeilingError, match="exceeds ceiling") as info:
             hk.sample_pdf(g, region, 1000, hk.RngKey(4, 0), ceiling=0.2)
+        assert "np." not in str(info.value)    # plain numbers, not numpy reprs
 
     def test_worker_count_bitwise_invariance(self):
         g = hk.shape_gaussian(hk.Parameter("mean", 0.5), hk.Parameter("sigma", 0.3))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import hepkit as hk
-from hepkit.store import CSV_BLOCK, read_csv, write_workers
+from hepkit.phasespace import PHSP_RANGE
+from hepkit.store import CSV_BLOCK, read_csv
 
 
 def test_create_empty():
@@ -746,10 +747,9 @@ def test_from_columns_rejects_a_column_that_is_not_1d():
             hk.ColumnStore.from_columns(schema, [np.zeros(3), bad])
 
 
-# -- the writer on the worker pool ---------------------------------------------
+# -- the writer's blocks and parts ------------------------------------------
 
-# 13 columns, as hepkit phsp writes for three daughters: the writer splits
-# its blocks across workers
+# 13 columns, as hepkit phsp writes for three daughters
 WIDE_KINDS = ["real64"] * 9 + ["integer64"] * 2 + ["boolean"] * 2
 WIDE = hk.ColumnSchema(tuple((f"c{j}", kind) for j, kind in enumerate(WIDE_KINDS)))
 
@@ -774,79 +774,28 @@ def _wide_store(rows, seed=0):
     return hk.ColumnStore.from_columns(WIDE, columns)
 
 
-class TestParallelWriter:
-    # B // 3 and B // 2 rows are about one part of a block at 8 and at 2 workers
-    @pytest.mark.parametrize("rows", [0, 1, B // 3, B // 2, B - 1, B, B + 1, 3 * B + 7])
-    def test_bytes_equal_per_row_writer_at_any_worker_count(self, rows, tmp_path):
-        s = _wide_store(rows, seed=rows)
-        want = _per_row_csv(s)
-        for workers in (1, 2, 8):
-            buf = io.StringIO()
-            path = tmp_path / f"w{workers}.csv"
-            with write_workers(workers):
-                s.write_csv(buf)
-                s.write_csv(str(path))
-            _assert_same_text(buf.getvalue(), want, f"to a handle at {workers} workers, ")
-            _assert_same_text(path.read_text(), want, f"to a path at {workers} workers, ")
+@pytest.mark.parametrize("rows", [0, 1, B // 3, B // 2, B - 1, B, B + 1, 3 * B + 7])
+def test_write_csv_writes_per_row_bytes_on_the_calling_thread(rows, tmp_path, monkeypatch):
+    import hepkit.parallel as parallel
 
-    def test_write_workers_sets_the_count_for_its_block(self, monkeypatch):
-        import hepkit.store as store
+    def refuse(*args):
+        raise AssertionError("write_csv submitted a task to the pool")
 
-        seen = []
-        monkeypatch.setattr(store, "csv_parts", lambda rows, width, w: seen.append(w) or (1, []))
-        s = _wide_store(3)
-        s.write_csv(io.StringIO())
-        with write_workers(3):
-            s.write_csv(io.StringIO())
-        s.write_csv(io.StringIO())
-        assert seen == [1, 3, 1]
-
-    def test_a_negative_count_raises_before_the_file_is_touched(self, tmp_path):
-        path = tmp_path / "kept.csv"
-        path.write_text("x\n1\n")
-        handle = io.StringIO()
-        with write_workers(-1):
-            with pytest.raises(ValueError, match="workers must be >= 0"):
-                _wide_store(3).write_csv(str(path))
-            with pytest.raises(ValueError, match="workers must be >= 0"):
-                _wide_store(3).write_csv(handle)
-        assert path.read_text() == "x\n1\n"
-        assert handle.getvalue() == ""
+    monkeypatch.setattr(parallel, "_submit", refuse)
+    s = _wide_store(rows, seed=rows)
+    want = _per_row_csv(s)
+    buf = io.StringIO()
+    path = tmp_path / "w.csv"
+    s.write_csv(buf)
+    s.write_csv(str(path))
+    _assert_same_text(buf.getvalue(), want, "to a handle, ")
+    _assert_same_text(path.read_text(), want, "to a path, ")
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 8, 64, 10 ** 6])
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 13, 1000, 10 ** 6])
-def test_csv_parts_cover_the_rows_in_order(workers, width):
-    # the plan alone, so that no count of workers starts a thread
-    from hepkit.store import CSV_PART_VALUES, csv_parts
-
-    for rows in (0, 1, 2, 5, B - 1, B, B + 1, 3 * B + 7):
-        per_block, parts = csv_parts(rows, width, workers)
-        assert 1 <= per_block <= min(workers, B)
-        assert per_block == 1 or B * width // per_block >= CSV_PART_VALUES
-        assert [a for a, _ in parts[1:]] == [b for _, b in parts[:-1]]
-        assert all(b - a >= 1 for a, b in parts)
-        assert len(parts) <= rows
-        assert (parts[0][0], parts[-1][1]) == (0, rows) if rows else parts == []
-        for start in range(0, rows, B):
-            block = [(a, b) for a, b in parts if start <= a < start + B]
-            assert len(block) <= per_block and block[-1][1] == min(start + B, rows)
-
-
-def test_csv_parts_split_only_wide_tables():
-    from hepkit.store import csv_parts
-
-    # up to 7 columns, splot's 2 and hist's 3 among them, blocks stay whole
-    # on the calling thread
-    for width in (1, 2, 3, 7):
-        assert csv_parts(3 * B, width, 8) == (1, [(0, B), (B, 2 * B), (2 * B, 3 * B)])
-    # phsp's 13: a part per worker, 3 at most
-    assert csv_parts(B + 10, 13, 2) == (2, [(0, B // 2), (B // 2, B), (B, B + 5),
-                                            (B + 5, B + 10)])
-    assert csv_parts(B, 13, 8) == (3, [(0, 2730), (2730, 5461), (5461, B)])
-    assert csv_parts(B, 13, 1) == (1, [(0, B)])
-    # at most width // 4 parts a block, whatever the worker count
-    assert csv_parts(B, 8, 8)[0] == 2 and csv_parts(B, 13, 10 ** 6)[0] == 3
+# phsp_write_csv is the writer's caller on more than one worker: 13
+# columns, a part of PHSP_RANGE events (two blocks) per task
+SPEC3 = hk.DecaySpec(1.0, (0.1, 0.1, 0.1))
+MOTHER3 = hk.FourVector.at_rest(1.0)
 
 
 class _FailingHandle(io.StringIO):
@@ -864,9 +813,11 @@ class _FailingHandle(io.StringIO):
         return super().write(text)
 
 
+@pytest.mark.parametrize("workers", [2, 3, 8])
 @pytest.mark.parametrize("fail, error", [(0, OSError("disk full")), (3, OSError("disk full")),
                                          (7, BrokenPipeError(32, "Broken pipe"))])
-def test_a_failing_write_leaves_no_part_running_and_no_text(fail, error, monkeypatch):
+def test_a_failing_write_leaves_no_part_running_and_no_text(fail, error, workers,
+                                                            monkeypatch):
     import threading
     import time
     import weakref
@@ -877,7 +828,7 @@ def test_a_failing_write_leaves_no_part_running_and_no_text(fail, error, monkeyp
     lock = threading.Lock()
     run_ordered, init = store.run_ordered, store._CsvText.__init__
 
-    def counted(fn, n, workers, window, consume):
+    def counted(fn, n, workers, consume):
         def task(i):
             with lock:
                 running[0] += 1
@@ -888,7 +839,7 @@ def test_a_failing_write_leaves_no_part_running_and_no_text(fail, error, monkeyp
             finally:
                 with lock:
                     running[0] -= 1
-        return run_ordered(task, n, workers, window, consume)
+        return run_ordered(task, n, workers, consume)
 
     def tracked_init(self, kinds):
         init(self, kinds)
@@ -896,39 +847,19 @@ def test_a_failing_write_leaves_no_part_running_and_no_text(fail, error, monkeyp
 
     monkeypatch.setattr(store, "run_ordered", counted)
     monkeypatch.setattr(store._CsvText, "__init__", tracked_init)
-    s = _wide_store(4 * B, seed=5)
     handle = _FailingHandle(fail, error)
-    with pytest.raises(type(error)) as info, write_workers(2):
-        s.write_csv(handle)
+    with pytest.raises(type(error)) as info:
+        hk.phsp_write_csv(handle, SPEC3, MOTHER3, 16 * PHSP_RANGE, hk.RngKey(5, 1),
+                          workers=workers)
     assert info.value is error
     assert running[0] == 0
-    assert started[0] <= fail + 2        # the parts written and the window
+    # the parts written, the one that failed and the worker count after it
+    assert started[0] <= (-(-fail // (PHSP_RANGE // B)) + workers if fail else 0)
     count = started[0]
     time.sleep(0.05)                     # nothing starts after the call either
     assert started[0] == count and running[0] == 0
-    assert len(texts) == (2 if fail else 0)    # a failed header starts no part
+    assert len(texts) == (workers if fail else 0)    # a failed header starts no part
     assert all(ref() is None for ref in texts)
-
-
-def test_warm_parallel_write_peaks_within_one_threads_memory(tmp_path):
-    # the parts in flight hold one block's rows for any worker count, so a
-    # warm 13-column write of 1e5 rows at 2 workers peaks no higher than at
-    # 1, within 1 MiB (both 20–22 MiB traced: the kernel's arrays for a
-    # block and two block texts); with a whole block per worker it peaked
-    # twice as high, and phsp_csv's resident peak rose 30%
-    s = _wide_store(100_000, seed=7)
-    path = str(tmp_path / "w.csv")
-    peaks = {}
-    for workers in (1, 2):
-        with write_workers(workers):
-            s.write_csv(path)
-            tracemalloc.start()
-            try:
-                s.write_csv(path)
-                peaks[workers] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-    assert peaks[2] <= peaks[1] + 2**20, {w: f"{p / 2**20:.2f} MiB" for w, p in peaks.items()}
 
 
 @pytest.mark.parametrize("kind", ["real64", "integer64", "boolean"])
@@ -978,15 +909,14 @@ def test_parallel_writer_under_forced_thread_switches():
     # more workers than cores and a switch interval of 1 us: a part reuses
     # a _CsvText only after the part before it is written, so the texts
     # stay whole however the threads interleave
-    s = _wide_store(5 * B + 3, seed=11)
-    want = _per_row_csv(s)
+    n, key = 5 * PHSP_RANGE + 3, hk.RngKey(11, 1)
+    want = _per_row_csv(hk.phsp_generate(SPEC3, MOTHER3, n, key))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (3, 8):
+        for workers in (2, 3, 8):
             buf = io.StringIO()
-            with write_workers(workers):
-                s.write_csv(buf)
+            hk.phsp_write_csv(buf, SPEC3, MOTHER3, n, key, workers=workers)
             _assert_same_text(buf.getvalue(), want, f"at {workers} workers, ")
     finally:
         sys.setswitchinterval(interval)
