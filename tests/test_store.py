@@ -792,6 +792,41 @@ def test_write_csv_writes_per_row_bytes_on_the_calling_thread(rows, tmp_path, mo
     _assert_same_text(path.read_text(), want, "to a path, ")
 
 
+# part sizes for write_csv_parts: none, empty parts, more parts than
+# workers, and parts that end on, just before and just past a block or
+# hold several blocks
+PART_LAYOUTS = [(), (0, 3, 0), (1,), (1, 1, 1, 1, 1), (5, 2, 9), (B - 1, 1),
+                (B, B + 1), (3 * B + 7,), (2, B + 1, 0, 7, B - 1)]
+
+
+@pytest.mark.parametrize("layout", PART_LAYOUTS, ids=lambda sizes: "-".join(map(str, sizes)))
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_write_csv_parts_writes_every_part_once_in_order(workers, layout, tmp_path):
+    import threading
+
+    from hepkit.store import write_csv_parts
+
+    s = _wide_store(sum(layout), seed=len(layout))
+    columns = s.columns()
+    bounds = np.concatenate([[0], np.cumsum(layout, dtype=int)])
+    asked = []
+    lock = threading.Lock()
+
+    def part(i):
+        with lock:
+            asked.append(i)
+        return [c[bounds[i]:bounds[i + 1]] for c in columns]
+
+    want = _per_row_csv(s)
+    buf = io.StringIO()
+    write_csv_parts(buf, WIDE, len(layout), part, workers)
+    _assert_same_text(buf.getvalue(), want, "to a handle, ")
+    path = tmp_path / "p.csv"
+    write_csv_parts(str(path), WIDE, len(layout), part, workers)
+    _assert_same_text(path.read_text(), want, "to a path, ")
+    assert sorted(asked) == sorted(2 * list(range(len(layout))))
+
+
 # phsp_write_csv is the writer's caller on more than one worker: 13
 # columns, a part of PHSP_RANGE events (two blocks) per task
 SPEC3 = hk.DecaySpec(1.0, (0.1, 0.1, 0.1))
